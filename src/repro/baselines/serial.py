@@ -34,7 +34,6 @@ class SerialKMeans:
         kernel: Lloyd assignment backend name (exact backends are a
             bit-identical performance knob; ``None`` consults
             ``REPRO_KMEANS_KERNEL``).
-        exact: ``False`` opts into the tolerance-close ``blas`` tier.
         early_abandon: cut short restarts that cannot beat the incumbent.
         seed: RNG seed.
 
@@ -55,7 +54,6 @@ class SerialKMeans:
         criterion: ConvergenceCriterion | None = None,
         max_iter: int = DEFAULT_MAX_ITER,
         kernel: str | None = None,
-        exact: bool | None = None,
         early_abandon: bool = False,
         seed: int | None = None,
     ) -> None:
@@ -67,7 +65,6 @@ class SerialKMeans:
         self.criterion = criterion
         self.max_iter = max_iter
         self.kernel = kernel
-        self.exact = exact
         self.early_abandon = early_abandon
         self._rng = np.random.default_rng(seed)
 
@@ -84,7 +81,6 @@ class SerialKMeans:
             criterion=self.criterion,
             max_iter=self.max_iter,
             kernel=self.kernel,
-            exact=self.exact,
             early_abandon=self.early_abandon,
         )
         elapsed = time.perf_counter() - start

@@ -32,6 +32,7 @@ import sys
 import numpy as np
 
 from repro.baselines.serial import SerialKMeans
+from repro.core.kernels import available_kernels
 from repro.core.pipeline import PartialMergeKMeans
 from repro.core.quality import mse as evaluate_mse
 from repro.data.generator import generate_cell_points
@@ -121,7 +122,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             .partition(args.chunks)
             .cluster(k=args.k, restarts=args.restarts)
             .merge()
-            .with_kernel(args.kernel, exact=False if args.no_exact else None)
+            .with_kernel(args.kernel)
             .with_seed(args.seed)
             .checkpoint(args.checkpoint_dir, resume=args.resume)
             .execute()
@@ -147,7 +148,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         args.k,
         restarts=args.restarts,
         kernel=args.kernel,
-        exact=False if args.no_exact else None,
         seed=args.seed,
     ).fit(cell.points)
     serial_mse = evaluate_mse(cell.points, serial.centroids)
@@ -158,7 +158,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         restarts=args.restarts,
         n_chunks=args.chunks,
         kernel=args.kernel,
-        exact=False if args.no_exact else None,
         seed=args.seed,
     ).fit(cell.points)
     model = report.model
@@ -227,10 +226,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     else:
         query = query.partition(args.chunks)
     query = query.cluster(k=args.k, restarts=args.restarts).merge()
-    if args.kernel != "dense" or args.no_exact:
-        query = query.with_kernel(
-            args.kernel, exact=False if args.no_exact else None
-        )
+    if args.kernel != "dense":
+        query = query.with_kernel(args.kernel)
     if args.clones:
         query = query.with_partial_clones(args.clones)
     if args.shards:
@@ -400,7 +397,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         seed=args.seed,
         restarts=args.restarts,
         kernel=None if args.kernel == "dense" else args.kernel,
-        exact=False if args.no_exact else None,
         ttl_seconds=args.ttl or None,
         fsync=not args.no_fsync,
     )
@@ -474,6 +470,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "\n".join(server.metrics.summary_lines()), file=sys.stderr
         )
     return 0
+
+
+def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--kernel",
+        choices=available_kernels(),
+        default="dense",
+        help="Lloyd assignment kernel for all k-means stages (and serving "
+        "assigns); the exact kernels (dense/elkan) are bit-identical, so "
+        "they only change speed (counters in the metrics show what they "
+        "saved); 'blas' is the float32 GEMM kernel, whose results are only "
+        "MSE-tolerance-close to the reference",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -581,22 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bit-identical recovery)",
     )
     p_query.add_argument("--seed", type=int, default=None)
-    p_query.add_argument(
-        "--kernel",
-        choices=["dense", "hamerly", "elkan", "blas", "tiled"],
-        default="dense",
-        help="Lloyd assignment kernel for all k-means stages; exact "
-        "kernels (dense/hamerly/elkan) are bit-identical, so they only "
-        "change speed (counters in the metrics show what they saved); "
-        "'blas' is the float32 GEMM tier and requires --no-exact "
-        "('tiled' is a deprecated alias for it)",
-    )
-    p_query.add_argument(
-        "--no-exact",
-        action="store_true",
-        help="waive the bit-identity contract: admit the 'blas' kernel, "
-        "whose results are only MSE-tolerance-close to the reference",
-    )
+    _add_kernel_argument(p_query)
     p_query.add_argument(
         "--trace-json",
         default=None,
@@ -694,18 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument("--restarts", type=int, default=3)
-    p_serve.add_argument(
-        "--kernel",
-        choices=["dense", "hamerly", "elkan", "blas", "tiled"],
-        default="dense",
-        help="Lloyd assignment kernel (exact tiers are bit-identical; "
-        "'blas' needs --no-exact and speeds up folds and serving assigns)",
-    )
-    p_serve.add_argument(
-        "--no-exact",
-        action="store_true",
-        help="waive bit-identity: admit the 'blas' float32 GEMM kernel",
-    )
+    _add_kernel_argument(p_serve)
     p_serve.add_argument(
         "--ttl",
         type=float,
@@ -749,18 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--chunks", type=int, default=5)
     p_cluster.add_argument("--restarts", type=int, default=10)
     p_cluster.add_argument("--seed", type=int, default=0)
-    p_cluster.add_argument(
-        "--kernel",
-        choices=["dense", "hamerly", "elkan", "blas", "tiled"],
-        default="dense",
-        help="Lloyd assignment kernel (exact tiers are bit-identical; "
-        "'blas' needs --no-exact)",
-    )
-    p_cluster.add_argument(
-        "--no-exact",
-        action="store_true",
-        help="waive bit-identity: admit the 'blas' float32 GEMM kernel",
-    )
+    _add_kernel_argument(p_cluster)
     p_cluster.add_argument(
         "--checkpoint-dir",
         default=None,

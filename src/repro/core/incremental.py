@@ -42,7 +42,6 @@ def fold_summary(
     criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     kernel: str | None = None,
-    exact: bool | None = None,
 ) -> ClusterModel:
     """Merge an already-computed partition summary into a cell model.
 
@@ -64,7 +63,6 @@ def fold_summary(
         max_iter: Lloyd cap for the merge.
         kernel: assignment backend for the merge (exact kernels are
             bit-identical; performance knob only).
-        exact: ``False`` opts into the tolerance-close ``blas`` tier.
 
     Returns:
         A new :class:`ClusterModel` whose weights sum to
@@ -85,7 +83,6 @@ def fold_summary(
     pool.append(summary)
     merged = merge_kmeans(
         pool, k, criterion=criterion, max_iter=max_iter, kernel=kernel,
-        exact=exact,
     )
     base = model if model is not None else ClusterModel.empty(summary.dim)
     return ClusterModel(
@@ -111,7 +108,6 @@ def update_model(
     max_iter: int = DEFAULT_MAX_ITER,
     k: int | None = None,
     kernel: str | None = None,
-    exact: bool | None = None,
 ) -> ClusterModel:
     """Fold ``new_points`` into an existing cell model.
 
@@ -128,7 +124,6 @@ def update_model(
         k: centroids for the update; defaults to ``model.k`` and is
             **required** when ``model`` is an empty watermark.
         kernel: assignment backend for both stages.
-        exact: ``False`` opts into the tolerance-close ``blas`` tier.
 
     Returns:
         A new :class:`ClusterModel` with ``k`` preserved and weights
@@ -156,7 +151,6 @@ def update_model(
         criterion=criterion,
         max_iter=max_iter,
         kernel=kernel,
-        exact=exact,
     )
     folded = fold_summary(
         model,
@@ -165,7 +159,6 @@ def update_model(
         criterion=criterion,
         max_iter=max_iter,
         kernel=kernel,
-        exact=exact,
     )
     return replace(
         folded,

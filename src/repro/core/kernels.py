@@ -1,51 +1,32 @@
-"""Pluggable Lloyd-iteration backends in two tiers: exact and ``exact=False``.
+"""Pluggable Lloyd-iteration backends: two exact kernels and ``blas``.
 
 Every stage of the pipeline — the serial baseline, the partial operator,
 and the merge operator — funnels through :func:`repro.core.kmeans.lloyd`,
 which delegates the per-iteration *assignment step* to one of the kernels
 defined here.
 
-**Tier 1 (exact, bit-identical to dense):**
+**Exact kernels (bit-identical to each other):**
 
-* ``dense`` — the reference: one full ``(n, k)`` ``cdist`` per iteration,
-  exactly the seed implementation's behaviour.
-* ``hamerly`` — a Hamerly-style bounds kernel: one upper estimate plus a
-  single lower bound on the second-closest centroid per point, deflated
-  by the *maximum* centroid drift.  Best at small/medium ``k``.
-* ``elkan`` — a Yinyang-style group-bounds kernel: centroids are split
-  into ``G ≈ k/8`` groups (ordered by first coordinate so nearby
-  centroids share a group) and each point keeps one lower bound *per
-  group*, deflated by that group's own maximum drift.  At high ``k`` a
-  few fast-moving centroids no longer destroy every point's single bound
-  (Hamerly's tax), so far fewer points survive the bound check.  An
-  Elkan-style inter-centroid filter (``s(a) = ½·min_j d(c_a, c_j)``)
-  prunes additionally.  Survivors get one exact full candidate row;
-  pruned points with a moved assigned centroid get their one exact
-  assigned distance from cache-friendly contiguous per-cluster slices.
+* ``dense`` — the reference and the default: one full ``(n, k)``
+  ``cdist`` per iteration, exactly the seed implementation's behaviour.
+* ``elkan`` — a Yinyang-style group-bounds kernel: each point keeps one
+  lower bound per *group* of ``≈ 8`` centroids, deflated by that
+  group's own maximum drift, plus an Elkan-style inter-centroid filter;
+  only bound-check survivors get an exact full candidate row
+  (:class:`ElkanKernel`).
 
-**Tier 2 (``exact=False``, opt-in):**
+**Tolerance-close kernel:**
 
-* ``blas`` — a float32 GEMM kernel.  Points are copied once to a
-  C-contiguous float32 matrix augmented with a constant-1 column; per
-  pass the centroids become a ``(d+1, k)`` float32 matrix holding
-  ``-2·c`` and ``‖c‖²``, so one ``sgemm`` per cache-sized row block
-  yields argmin-equivalent scores ``‖c‖² − 2·x·c``.  The same group
-  bounds as ``elkan`` restrict the GEMM to bound-check survivors; rows
-  whose float32 winner margin is ambiguous are refined with exact
-  float64 ``cdist`` rows; pruned points keep a stale squared distance
-  whose drift-inflated upper estimate stays valid (triangle
-  inequality) and loosens until the row re-enters the GEMM.  SSE is
-  computed algebraically from per-cluster sums (never from the stale
-  per-point values), and the sums are maintained incrementally (only
-  switched points update them), legal here because bit-identity is
-  waived.  See :func:`blas_mse_tolerance` for the documented error
-  bound.
+* ``blas`` — a float32 GEMM kernel over cache-sized row blocks,
+  restricted to the survivors of the same group bounds, with exact
+  float64 refinement of ambiguous winners and an algebraic SSE
+  (:class:`BlasKernel`; :func:`blas_mse_tolerance` documents the error
+  bound).
 
-**Determinism contract (tier 1).**  All exact kernels produce
-bit-identical ``assignments``, per-point squared distances, and therefore
-``centroids``, ``sse`` and ``iterations`` to the dense reference,
-including ``np.argmin``'s first-index tie-breaking.  Two mechanisms
-enforce this:
+**Determinism contract (exact kernels).**  ``dense`` and ``elkan``
+produce bit-identical ``assignments``, per-point squared distances, and
+therefore ``centroids``, ``sse`` and ``iterations``, including
+``np.argmin``'s first-index tie-breaking.  Two mechanisms enforce this:
 
 1. every distance value that can influence an output is produced by
    ``scipy.spatial.distance.cdist(..., "sqeuclidean")`` on float64
@@ -57,20 +38,19 @@ enforce this:
    drift-update and float32-storage error, so a pruned point is
    *provably* strictly closest to its kept centroid — no tie possible.
 
-The ``blas`` kernel deliberately waives this contract for raw speed and
-therefore requires an explicit opt-in: ``exact=False`` on
-``resolve_kernel``/``lloyd``/``Query.with_kernel``, ``--no-exact`` on the
-CLI, or ``REPRO_KMEANS_EXACT=0`` in the environment.  Selecting ``blas``
-without the waiver is a ``ValueError``, never a silent accuracy change.
+The ``blas`` kernel deliberately waives this contract for raw speed.
+Naming it *is* the waiver — nothing selects it implicitly — and every
+artefact of such a run says so: ``KMeansResult.kernel``, the
+``KernelCounters`` in messages, journal and trace, the ``gemm=`` /
+``refined=`` figures in the metrics summary.  Each kernel class carries
+``exact`` so callers that must route on the tier read it off the
+resolved kernel.
 
 Kernel selection: pass ``kernel=`` (a name or a :class:`LloydKernel`
-instance) or set ``REPRO_KMEANS_KERNEL``; the explicit argument wins.
-Unknown names raise a ``ValueError`` naming the bad value, the valid
-kernels, and — when the name came from the environment — the variable
-itself.  The retired ``tiled`` kernel name is accepted as a deprecated
-alias for ``blas`` (one ``DeprecationWarning`` per process); it still
-requires the ``exact=False`` waiver, because an alias must not silently
-change exactness semantics.
+instance) or set ``REPRO_KMEANS_KERNEL``; the explicit argument wins and
+the default is ``dense``.  Unknown names raise a ``ValueError`` naming
+the bad value, the valid kernels, and — when the name came from the
+environment — the variable itself.
 
 Centroid aggregation for exact kernels uses one ``np.bincount`` per
 dimension (:func:`aggregate_weighted_sums`) — the same sequential
@@ -84,7 +64,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -92,11 +71,9 @@ from scipy.spatial.distance import cdist
 
 __all__ = [
     "KERNEL_ENV_VAR",
-    "EXACT_ENV_VAR",
     "KernelCounters",
     "LloydKernel",
     "DenseKernel",
-    "HamerlyKernel",
     "ElkanKernel",
     "BlasKernel",
     "available_kernels",
@@ -108,14 +85,6 @@ __all__ = [
 
 #: Environment variable selecting the default kernel.
 KERNEL_ENV_VAR = "REPRO_KMEANS_KERNEL"
-
-#: Environment variable waiving the bit-identity requirement
-#: (``0``/``false``/``no``/``off`` allows ``exact=False`` kernels).
-EXACT_ENV_VAR = "REPRO_KMEANS_EXACT"
-
-#: Deprecated alias: the retired tiled-matmul kernel resolves to ``blas``.
-_TILED_ALIAS = "tiled"
-_tiled_alias_warned = False
 
 #: Relative guard band on float64 bounds.  Accumulated floating-point
 #: error on a drift-updated bound is a few ulps (~1e-16 relative) per
@@ -179,27 +148,16 @@ class KernelCounters:
         if other is None:
             return
         self.kernel = other.kernel or self.kernel
-        self.distance_evals_computed += other.distance_evals_computed
-        self.distance_evals_skipped += other.distance_evals_skipped
-        self.bound_check_hits += other.bound_check_hits
-        self.assign_calls += other.assign_calls
-        self.assign_seconds += other.assign_seconds
-        self.gemm_calls += other.gemm_calls
-        self.refine_rows += other.refine_rows
-        self.bound_groups += other.bound_groups
+        for name in _COUNT_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def as_dict(self) -> dict:
         """JSON-safe representation (used by stream messages and traces)."""
+        # Cast through each field's declared default type so numpy scalars
+        # accumulated by the kernels serialise as plain int/float.
         return {
-            "kernel": self.kernel,
-            "distance_evals_computed": int(self.distance_evals_computed),
-            "distance_evals_skipped": int(self.distance_evals_skipped),
-            "bound_check_hits": int(self.bound_check_hits),
-            "assign_calls": int(self.assign_calls),
-            "assign_seconds": float(self.assign_seconds),
-            "gemm_calls": int(self.gemm_calls),
-            "refine_rows": int(self.refine_rows),
-            "bound_groups": int(self.bound_groups),
+            f.name: type(f.default)(getattr(self, f.name))
+            for f in fields(self)
         }
 
     @staticmethod
@@ -207,10 +165,18 @@ class KernelCounters:
         """Rebuild counters from :meth:`as_dict` output (``None`` passes)."""
         if payload is None:
             return None
+        # The kernel name is a label, kept verbatim and never resolved:
+        # journals written by retired kernels must keep replaying.
         known = {f.name for f in fields(KernelCounters)}
         return KernelCounters(
             **{key: value for key, value in payload.items() if key in known}
         )
+
+
+#: The additive fields of :class:`KernelCounters` (everything but the name).
+_COUNT_FIELDS = tuple(
+    f.name for f in fields(KernelCounters) if f.name != "kernel"
+)
 
 
 def merge_counter_dicts(target: dict, source: dict | None) -> dict:
@@ -260,15 +226,7 @@ def _grouped_assigned_sq(
         out = np.empty(points.shape[0], dtype=np.float64)
     k = centroids.shape[0]
     sub_assign = assignments if rows is None else assignments[rows]
-    # Labels are small ints: sorting a narrowed copy runs a one/two-byte
-    # radix pass instead of a 64-bit merge sort (~6x faster here) with an
-    # identical stable order.
-    if k <= 256:
-        order = np.argsort(sub_assign.astype(np.uint8), kind="stable")
-    elif k <= 65536:
-        order = np.argsort(sub_assign.astype(np.uint16), kind="stable")
-    else:
-        order = np.argsort(sub_assign, kind="stable")
+    order = _label_argsort(sub_assign, k)
     sorted_rows = order if rows is None else rows[order]
     sorted_assign = sub_assign[order]
     bounds = np.searchsorted(sorted_assign, np.arange(k + 1), side="left")
@@ -286,7 +244,12 @@ def _grouped_assigned_sq(
 
 
 def _label_argsort(assignments: np.ndarray, k: int) -> np.ndarray:
-    """Stable argsort of cluster labels via a narrowed radix-friendly copy."""
+    """Stable argsort of cluster labels via a narrowed radix-friendly copy.
+
+    Labels are small ints: sorting a narrowed copy runs a one/two-byte
+    radix pass instead of a 64-bit merge sort (~6x faster here) with an
+    identical stable order.
+    """
     if k <= 256:
         return np.argsort(assignments.astype(np.uint8), kind="stable")
     if k <= 65536:
@@ -324,6 +287,44 @@ def _group_min_t(mat_t: np.ndarray, gstarts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _min_argmin_t(mat_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columnwise ``(min, argmin)`` of a transposed ``(k, m)`` matrix.
+
+    min + first-True match beats ``argmin(axis=0)`` ~2x and keeps the
+    identical first-index tie-break: ``argmax`` on the boolean equality
+    matrix returns the first row whose value equals the columnwise
+    minimum.
+    """
+    best = np.minimum.reduce(mat_t, axis=0)
+    return best, (mat_t == best).argmax(axis=0)
+
+
+def _half_nearest_centroid(centroids: np.ndarray) -> np.ndarray:
+    """Elkan radius ``s(a) = ½·min_{j≠a} d(c_a, c_j)`` per centroid."""
+    cc = cdist(centroids, centroids, metric="euclidean")
+    np.fill_diagonal(cc, np.inf)
+    return 0.5 * cc.min(axis=1)
+
+
+#: blas tier: byte budget for one live float32 score block (~4 MiB).
+_TILE_BYTES = 4 << 20
+
+
+def _tile_rows(k: int) -> int:
+    """Rows per GEMM block so a ``(rows, k)`` float32 score block fits."""
+    return max(512, _TILE_BYTES // (4 * max(1, k)))
+
+
+def _augment_points32(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float32 ``(x | 1)`` GEMM operand and float32 ``‖x‖²`` per row."""
+    n, dim = points.shape
+    paug = np.empty((n, dim + 1), dtype=np.float32)
+    paug[:, :dim] = points
+    paug[:, dim] = 1.0
+    p32 = paug[:, :dim]
+    return paug, np.einsum("ij,ij->i", p32, p32, dtype=np.float32)
+
+
 class LloydKernel:
     """One Lloyd assignment backend; holds per-run state between iterations.
 
@@ -337,8 +338,8 @@ class LloydKernel:
             kernel.notify_update(old_centroids, new_centroids)
 
     ``exact`` declares the tier: exact kernels are bit-identical to the
-    dense reference; ``exact=False`` kernels trade bit-identity for speed
-    and require an explicit waiver at resolution time.
+    dense reference; the others trade bit-identity for speed and are
+    only ever selected by name.
 
     Kernel instances are single-run and not thread-safe; ``resolve_kernel``
     hands out a fresh instance per ``lloyd`` call.
@@ -351,14 +352,32 @@ class LloydKernel:
     def __init__(self) -> None:
         self.counters = KernelCounters(kernel=self.name)
         self._points: np.ndarray | None = None
+        self._reset()
 
     def start(self, points: np.ndarray, weights: np.ndarray) -> None:
         """Begin a run over ``points`` (already float64 C-contiguous)."""
         self._points = points
         self.counters = KernelCounters(kernel=self.name)
+        self._reset()
+
+    def _reset(self) -> None:
+        """Drop all per-run state (shared by ``__init__`` and ``start``)."""
 
     def assign(self, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(assignments, sq_dists)`` for the current centroids.
+
+        Times and counts the pass around the kernel's :meth:`_assign`.
+        """
+        assert self._points is not None, "kernel used before start()"
+        started = time.perf_counter()
+        try:
+            return self._assign(centroids)
+        finally:
+            self.counters.assign_calls += 1
+            self.counters.assign_seconds += time.perf_counter() - started
+
+    def _assign(self, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One assignment pass.
 
         Exact kernels must be bit-identical to ``cdist`` + first-index
         ``argmin``.
@@ -418,202 +437,81 @@ class DenseKernel(LloydKernel):
 
     name = "dense"
 
-    def assign(self, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        assert self._points is not None, "kernel used before start()"
-        started = time.perf_counter()
+    def _assign(self, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pts = self._points
         d2 = cdist(pts, centroids, metric="sqeuclidean")
         assignments = np.argmin(d2, axis=1)
         sq_dists = d2[np.arange(pts.shape[0]), assignments]
         self.counters.distance_evals_computed += pts.shape[0] * centroids.shape[0]
-        self.counters.assign_calls += 1
-        self.counters.assign_seconds += time.perf_counter() - started
         return assignments, sq_dists
 
 
-class HamerlyKernel(LloydKernel):
-    """Bounds-based kernel skipping provably redundant candidate scans.
+class _GroupBoundsKernel(LloydKernel):
+    """State and bookkeeping shared by the group-bounds kernels.
 
-    Per point the kernel keeps the assignment, the exact squared distance
-    to the assigned centroid as of the *last* pass, and a deflated lower
-    bound on the distance to the second-closest centroid.  After a
-    centroid update the lower bound shrinks by the maximum centroid drift
-    and an *upper estimate* inflates by the assigned centroid's own drift
-    (``u_est = √sq_old + drift[a]`` — an overestimate of the true new
-    assigned distance by the triangle inequality).  A pass then:
-
-    1. prunes points with ``u_est·(1+guard) < l`` — for them the
-       assignment is *provably* strictly unchanged, so at most the one
-       exact assigned distance is recomputed (grouped by centroid; the
-       MSE convergence test needs it exactly).  If the assigned centroid
-       is additionally *bitwise* unchanged, last pass's value is already
-       what ``cdist`` would produce and is reused with zero evaluations;
-    2. scans the full candidate row only for the survivors — that row
-       yields their exact assigned distance for free and refreshes the
-       lower bound from the second-smallest distance.
-
-    Against the dense kernel's ``n·k`` evaluations per pass this performs
-    at most ``(n − m) + m·k ≤ n·k`` where ``m`` is the survivor count —
-    near convergence ``m → 0``, centroids freeze bitwise, and the pass
-    cost approaches zero.  Because a pass never exceeds dense cost, the
-    exact accounting identity ``computed + skipped == dense computed``
-    holds for a whole run.
+    One float32 lower bound per point per *centroid group*
+    (:func:`_centroid_groups`), stored un-deflated together with the
+    group's cumulative drift at refresh time; at test time the bound is
+    reconstructed as ``stored − cumulative_drift_now`` — so a centroid
+    update costs ``O(k)``, not ``O(n·G)``.
     """
 
-    name = "hamerly"
+    #: Relative inflation of each accumulated group drift, so subtracting
+    #: the accumulated value at test time is strictly conservative.
+    _DRIFT_GUARD = _GUARD
 
-    def __init__(self) -> None:
-        super().__init__()
+    def _reset(self) -> None:
         self._assignments: np.ndarray | None = None
-        self._lower: np.ndarray | None = None
         self._sq_dists: np.ndarray | None = None
-        self._drift: np.ndarray | None = None
-        self._moved: np.ndarray | None = None
+        self._lower: np.ndarray | None = None  # (G, n) float32, +CD offset
+        self._cum_drift: np.ndarray | None = None  # (G,) float64
+        self._gstarts: np.ndarray | None = None
         self._valid = False
 
-    def start(self, points: np.ndarray, weights: np.ndarray) -> None:
-        super().start(points, weights)
-        self._assignments = None
-        self._lower = None
-        self._sq_dists = None
-        self._drift = None
-        self._moved = None
-        self._valid = False
+    def _start_group_bounds(self, k: int) -> int:
+        """Lay out the groups for ``k`` centroids; returns their count."""
+        self._gstarts = _centroid_groups(k)
+        n_groups = self._gstarts.size - 1
+        self._cum_drift = np.zeros(n_groups, dtype=np.float64)
+        return n_groups
 
-    def invalidate(self) -> None:
-        self._valid = False
+    def _tightest_group_bound(self) -> np.ndarray:
+        """Per-point minimum over groups of the drift-deflated bounds.
 
-    def _full_refresh(
-        self, centroids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        pts = self._points
-        assert pts is not None
-        n, k = pts.shape[0], centroids.shape[0]
-        d2 = cdist(pts, centroids, metric="sqeuclidean")
-        assignments = np.argmin(d2, axis=1)
-        sq_dists = d2[np.arange(n), assignments]
-        if k >= 2:
-            second = np.partition(d2, 1, axis=1)[:, 1]
-            lower = np.sqrt(second) * (1.0 - _GUARD)
-        else:
-            lower = np.full(n, np.inf)
-        self._assignments = assignments
-        self._lower = lower
-        self._sq_dists = sq_dists
-        self._drift = None
-        self._moved = None
-        self._valid = True
-        self.counters.distance_evals_computed += n * k
-        return assignments, sq_dists
+        Stored bounds share a per-group scalar cumulative-drift offset,
+        inflated slightly so the float32 subtraction is strictly
+        conservative.
+        """
+        lower = self._lower
+        adj = self._cum_drift * (1.0 + _GUARD32)
+        lmin = lower[0] - np.float32(adj[0])
+        for g in range(1, lower.shape[0]):
+            np.minimum(lmin, lower[g] - np.float32(adj[g]), out=lmin)
+        return lmin
 
-    def assign(self, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        assert self._points is not None, "kernel used before start()"
-        started = time.perf_counter()
-        pts = self._points
-        n, k = pts.shape[0], centroids.shape[0]
-        try:
-            if not self._valid or self._assignments is None:
-                return self._full_refresh(centroids)
-
-            assignments = self._assignments
-            lower = self._lower
-            prev_sq = self._sq_dists
-            assert lower is not None and prev_sq is not None
-
-            # Upper estimate: last pass's exact assigned distance plus the
-            # assigned centroid's accumulated drift (triangle inequality
-            # makes this a strict overestimate of the new distance).
-            upper_est = np.sqrt(prev_sq)
-            if self._drift is not None:
-                upper_est += self._drift[assignments]
-            survivor_mask = upper_est * (1.0 + _GUARD) >= lower
-            survivors = np.flatnonzero(survivor_mask)
-            m = survivors.size
-            pruned = n - m
-
-            sq_dists = np.empty(n, dtype=np.float64)
-            recompute = 0
-            if pruned:
-                pruned_mask = ~survivor_mask
-                if self._moved is not None:
-                    # Pruned point whose assigned centroid is *bitwise*
-                    # unchanged: cdist would reproduce last pass's value
-                    # bit for bit, so reuse it with zero evaluations.
-                    stale = pruned_mask & self._moved[assignments]
-                    np.copyto(
-                        sq_dists, prev_sq, where=pruned_mask & ~stale
-                    )
-                else:
-                    stale = pruned_mask
-                stale_rows = np.flatnonzero(stale)
-                recompute = stale_rows.size
-                if recompute:
-                    # Provably unchanged assignment — recompute only the
-                    # one exact assigned distance (the convergence test
-                    # needs it verbatim), grouped by centroid.
-                    _grouped_assigned_sq(
-                        pts,
-                        centroids,
-                        assignments,
-                        rows=stale_rows,
-                        out=sq_dists,
-                    )
-
-            computed = recompute + m * k
-            self.counters.bound_check_hits += pruned
-            self.counters.distance_evals_computed += computed
-            self.counters.distance_evals_skipped += n * k - computed
-            if m:
-                rows = cdist(pts[survivors], centroids, metric="sqeuclidean")
-                row_assign = np.argmin(rows, axis=1)
-                assignments[survivors] = row_assign
-                sq_dists[survivors] = rows[np.arange(m), row_assign]
-                if k >= 2:
-                    second = np.partition(rows, 1, axis=1)[:, 1]
-                    lower[survivors] = np.sqrt(second) * (1.0 - _GUARD)
-                else:
-                    lower[survivors] = np.inf
-            self._sq_dists = sq_dists
-            self._drift = None
-            self._moved = None
-            return assignments, sq_dists
-        finally:
-            self.counters.assign_calls += 1
-            self.counters.assign_seconds += time.perf_counter() - started
-
-    def notify_update(
+    def _accumulate_group_drift(
         self, old_centroids: np.ndarray, new_centroids: np.ndarray
-    ) -> None:
+    ) -> np.ndarray | None:
+        """Fold one centroid update into the per-group cumulative drift.
+
+        Returns the per-centroid drift, or ``None`` when no bounds are
+        live (nothing to maintain until the next full refresh).
+        """
         if not self._valid or self._lower is None:
-            return
+            return None
         drift = np.sqrt(((new_centroids - old_centroids) ** 2).sum(axis=1))
-        max_drift = float(drift.max()) if drift.size else 0.0
-        # Every centroid moved at most max_drift, so every point's
-        # second-closest distance shrank by at most max_drift; the extra
-        # multiplicative deflation absorbs this update's rounding error.
-        np.maximum((self._lower - max_drift) * (1.0 - _GUARD), 0.0,
-                   out=self._lower)
-        # Accumulated per-centroid drift since the last assign pass
-        # (defensive accumulation; lloyd issues exactly one update per
-        # pass, and assign resets it).  "moved" is tracked bitwise rather
-        # than as drift > 0 because a subnormal displacement can square
-        # to exactly zero.
-        self._drift = drift if self._drift is None else self._drift + drift
-        moved = np.any(new_centroids != old_centroids, axis=1)
-        self._moved = moved if self._moved is None else self._moved | moved
+        group_drift = np.maximum.reduceat(drift, self._gstarts[:-1])
+        self._cum_drift += group_drift * (1.0 + self._DRIFT_GUARD)
+        return drift
 
 
-class ElkanKernel(LloydKernel):
+class ElkanKernel(_GroupBoundsKernel):
     """Group-bounds (Yinyang-style) kernel for the high-``k`` regime.
 
     State per point: the assignment, the exact squared assigned distance
-    as of the last pass, and one float32 lower bound per *centroid group*
-    (``G ≈ k/8`` groups of first-coordinate-adjacent centroids).  Bounds
-    are stored un-deflated together with the group's cumulative drift at
-    refresh time; at test time the bound is reconstructed as
-    ``stored − cumulative_drift_now`` — so a centroid update costs
-    ``O(k)``, not ``O(n·G)``.  Guard bands (``_GUARD32``) make every
-    float32 rounding strictly conservative.
+    as of the last pass, and the group lower bounds of
+    :class:`_GroupBoundsKernel` (``G ≈ k/8`` groups).  Guard bands
+    (``_GUARD32``) make every float32 rounding strictly conservative.
 
     A pass first makes every point's assigned distance exact again:
     points whose assigned centroid is bitwise unchanged reuse last
@@ -638,15 +536,9 @@ class ElkanKernel(LloydKernel):
     #: fraction of points changed assignment since it was built.
     _REBUILD_FRACTION = 8  # denominator: rebuild when dirty > n / 8
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._assignments: np.ndarray | None = None
-        self._sq_dists: np.ndarray | None = None
-        self._lower: np.ndarray | None = None  # (G, n) float32, +CD offset
-        self._cum_drift: np.ndarray | None = None  # (G,) float64
-        self._gstarts: np.ndarray | None = None
+    def _reset(self) -> None:
+        super()._reset()
         self._moved: np.ndarray | None = None
-        self._valid = False
         # Sorted-by-cluster cache for the exact stale-distance path.
         self._sorted_rows: np.ndarray | None = None
         self._sorted_pts: np.ndarray | None = None
@@ -664,40 +556,12 @@ class ElkanKernel(LloydKernel):
         # Exact incremental cluster-mass cache (+ shared member gather).
         self._mass: np.ndarray | None = None
         self._mass_k = -1
-        self._member_rows: np.ndarray | None = None
-        self._member_sub_assign: np.ndarray | None = None
-
-    def start(self, points: np.ndarray, weights: np.ndarray) -> None:
-        super().start(points, weights)
-        self._assignments = None
-        self._sq_dists = None
-        self._lower = None
-        self._cum_drift = None
-        self._gstarts = None
-        self._moved = None
-        self._valid = False
-        self._sorted_rows = None
-        self._sorted_pts = None
-        self._sorted_bounds = None
-        self._sorted_pos = None
-        self._sorted_dirty = None
-        self._dirty = None
-        self._dirty_chunks = []
-        self._dirty_count = 0
-        self._agg_sums = None
-        self._agg_k = -1
-        self._agg_rebuild = True
-        self._agg_changed = None
-        self._mass = None
-        self._mass_k = -1
-        self._member_rows = None
-        self._member_sub_assign = None
+        self._members: tuple[np.ndarray, np.ndarray] | None = None
 
     def invalidate(self) -> None:
         self._valid = False
         self._agg_rebuild = True
-        self._member_rows = None
-        self._member_sub_assign = None
+        self._members = None
 
     def _rebuild_sorted_cache(self, k: int) -> None:
         pts = self._points
@@ -727,16 +591,12 @@ class ElkanKernel(LloydKernel):
         # Transposed (k, n) distance matrix: ``cdist`` evaluates each pair
         # independently and symmetrically, so entries are bit-equal to the
         # (n, k) orientation, and axis-0 reductions vectorise across
-        # points.  min + first-True match keeps the first-centroid
-        # tie-break (argmax on bool returns the first row equal to the
-        # columnwise minimum) and beats ``argmin(axis=0)`` ~2x.
+        # points.
         d2t = cdist(centroids, pts, metric="sqeuclidean")
-        sq_dists = np.minimum.reduce(d2t, axis=0)
-        assignments = (d2t == sq_dists).argmax(axis=0)
+        sq_dists, assignments = _min_argmin_t(d2t)
         ar = np.arange(n)
 
-        self._gstarts = _centroid_groups(k)
-        n_groups = self._gstarts.size - 1
+        n_groups = self._start_group_bounds(k)
         if k >= 2:
             # Mask the assigned entry so every group bound is a lower
             # bound on the distance to the *other* centroids of the group.
@@ -746,7 +606,6 @@ class ElkanKernel(LloydKernel):
             self._lower = lower.astype(np.float32)
         else:
             self._lower = np.full((1, n), np.inf, dtype=np.float32)
-        self._cum_drift = np.zeros(n_groups, dtype=np.float64)
 
         self._assignments = assignments
         self._sq_dists = sq_dists
@@ -754,180 +613,149 @@ class ElkanKernel(LloydKernel):
         self._valid = True
         self._rebuild_sorted_cache(k)
         self._agg_rebuild = True
-        self._member_rows = None
-        self._member_sub_assign = None
+        self._members = None
         self.counters.distance_evals_computed += n * k
         self.counters.bound_groups += n_groups
         return assignments, sq_dists
 
     def _refresh_survivor_bounds(
-        self, rows_d2t: np.ndarray, survivors: np.ndarray, k: int
+        self, rows_d2t: np.ndarray, survivors: np.ndarray
     ) -> None:
         """Refresh group bounds for survivor rows from their exact row.
 
         ``rows_d2t`` is the transposed ``(k, m)`` distance block with the
         (new) assigned entries already masked with ``inf``.
         """
-        lower = self._lower
-        gstarts = self._gstarts
-        cum = self._cum_drift
-        assert lower is not None
-        assert gstarts is not None and cum is not None
-        vals = np.sqrt(_group_min_t(rows_d2t, gstarts))
+        vals = np.sqrt(_group_min_t(rows_d2t, self._gstarts))
         vals *= 1.0 - _GUARD32
         # Store with the current cumulative drift folded in, so the
         # shared per-group subtraction at test time nets out to only the
         # drift accumulated *since this refresh*.
-        vals += cum[:, None]
-        lower[:, survivors] = vals.astype(np.float32)
+        vals += self._cum_drift[:, None]
+        self._lower[:, survivors] = vals.astype(np.float32)
 
-    def assign(self, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        assert self._points is not None, "kernel used before start()"
-        started = time.perf_counter()
+    def _assign(self, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pts = self._points
         n, k = pts.shape[0], centroids.shape[0]
-        try:
-            if not self._valid or self._assignments is None:
-                return self._full_refresh(centroids)
+        if not self._valid or self._assignments is None:
+            return self._full_refresh(centroids)
 
-            assignments = self._assignments
-            prev_sq = self._sq_dists
-            lower = self._lower
-            cum = self._cum_drift
-            assert prev_sq is not None and lower is not None and cum is not None
-            n_groups = lower.shape[0]
+        assignments = self._assignments
+        prev_sq = self._sq_dists
+        assert prev_sq is not None and self._lower is not None
+        n_groups = self._lower.shape[0]
 
-            # Step 1: make every assigned distance exact again.  Rows
-            # whose centroid is bitwise unchanged reuse last pass's value
-            # (what cdist would reproduce bit for bit); rows of moved
-            # clusters are re-evaluated from the sorted-by-cluster cache —
-            # contiguous per-cluster slices, no argsort, no per-point
-            # masks in original order.  Rows that switched clusters since
-            # the cache was built ("dirty") fall back to the grouped path.
-            sq_dists = prev_sq.copy()
-            recompute = 0
-            moved_cols = (
-                np.flatnonzero(self._moved) if self._moved is not None
-                else np.arange(k)
-            )
-            sorted_rows = self._sorted_rows
-            sorted_pts = self._sorted_pts
-            sbounds = self._sorted_bounds
-            sdirty = self._sorted_dirty
-            assert sorted_rows is not None and sorted_pts is not None
-            assert sbounds is not None and sdirty is not None
-            any_dirty = self._dirty_count > 0
-            for j in moved_cols:
-                lo, hi = sbounds[j], sbounds[j + 1]
-                if lo == hi:
-                    continue
-                slice_d2 = _pair_sq_distances(
-                    sorted_pts[lo:hi], centroids[j]
-                )
-                recompute += hi - lo
-                rows_slice = sorted_rows[lo:hi]
-                if any_dirty:
-                    sl_clean = ~sdirty[lo:hi]
-                    sq_dists[rows_slice[sl_clean]] = slice_d2[sl_clean]
-                else:
-                    sq_dists[rows_slice] = slice_d2
+        # Step 1: make every assigned distance exact again.  Rows
+        # whose centroid is bitwise unchanged reuse last pass's value
+        # (what cdist would reproduce bit for bit); rows of moved
+        # clusters are re-evaluated from the sorted-by-cluster cache —
+        # contiguous per-cluster slices, no argsort, no per-point
+        # masks in original order.  Rows that switched clusters since
+        # the cache was built ("dirty") fall back to the grouped path.
+        sq_dists = prev_sq.copy()
+        recompute = 0
+        moved_cols = (
+            np.flatnonzero(self._moved) if self._moved is not None
+            else np.arange(k)
+        )
+        sorted_rows = self._sorted_rows
+        sorted_pts = self._sorted_pts
+        sbounds = self._sorted_bounds
+        sdirty = self._sorted_dirty
+        assert sorted_rows is not None and sorted_pts is not None
+        assert sbounds is not None and sdirty is not None
+        any_dirty = self._dirty_count > 0
+        for j in moved_cols:
+            lo, hi = sbounds[j], sbounds[j + 1]
+            if lo == hi:
+                continue
+            slice_d2 = _pair_sq_distances(sorted_pts[lo:hi], centroids[j])
+            recompute += hi - lo
+            rows_slice = sorted_rows[lo:hi]
             if any_dirty:
-                # Dirty rows assigned to a moved centroid need an exact
-                # value too; unmoved ones keep last pass's bits.
-                dirty_idx = (
-                    self._dirty_chunks[0] if len(self._dirty_chunks) == 1
-                    else np.concatenate(self._dirty_chunks)
-                )
-                if self._moved is not None:
-                    dirt_rows = dirty_idx[self._moved[assignments[dirty_idx]]]
-                else:
-                    dirt_rows = dirty_idx
-                if dirt_rows.size:
-                    _grouped_assigned_sq(
-                        pts, centroids, assignments,
-                        rows=dirt_rows, out=sq_dists,
-                    )
-                    recompute += dirt_rows.size
-
-            # Step 2: bound test against the *exact* assigned distance
-            # (Yinyang's local filter — no drift slack on the upper
-            # side).  Tightest group bound: stored bounds share a
-            # per-group scalar cumulative-drift offset, inflated slightly
-            # so the float32 subtraction is strictly conservative.
-            adj = cum * (1.0 + _GUARD32)
-            lmin = lower[0] - np.float32(adj[0])
-            for g in range(1, n_groups):
-                np.minimum(lmin, lower[g] - np.float32(adj[g]), out=lmin)
-
-            if k >= 2:
-                # Elkan inter-centroid filter: a point strictly inside
-                # s(a) = half the distance to a's nearest other centroid
-                # provably keeps its assignment (triangle inequality).
-                cc = cdist(centroids, centroids, metric="euclidean")
-                np.fill_diagonal(cc, np.inf)
-                s_radius = 0.5 * cc.min(axis=1)
-                s_radius *= 1.0 - _GUARD
-                bound = np.maximum(lmin, s_radius[assignments])
+                sl_clean = ~sdirty[lo:hi]
+                sq_dists[rows_slice[sl_clean]] = slice_d2[sl_clean]
             else:
-                bound = lmin.astype(np.float64)
-
-            upper = np.sqrt(sq_dists)
-            survivor_mask = upper * (1.0 + _GUARD) >= bound
-            survivors = np.flatnonzero(survivor_mask)
-            m = survivors.size
-            pruned = n - m
-
-            computed = recompute + m * k
-            self.counters.bound_check_hits += pruned
-            self.counters.bound_groups += n_groups
-            self.counters.distance_evals_computed += computed
-            self.counters.distance_evals_skipped += max(n * k - computed, 0)
-
-            if m:
-                rows_d2t = cdist(
-                    centroids, pts[survivors], metric="sqeuclidean"
+                sq_dists[rows_slice] = slice_d2
+        if any_dirty:
+            # Dirty rows assigned to a moved centroid need an exact
+            # value too; unmoved ones keep last pass's bits.
+            dirty_idx = (
+                self._dirty_chunks[0] if len(self._dirty_chunks) == 1
+                else np.concatenate(self._dirty_chunks)
+            )
+            if self._moved is not None:
+                dirt_rows = dirty_idx[self._moved[assignments[dirty_idx]]]
+            else:
+                dirt_rows = dirty_idx
+            if dirt_rows.size:
+                _grouped_assigned_sq(
+                    pts, centroids, assignments, rows=dirt_rows, out=sq_dists
                 )
-                # min + first-True match is ~2x faster than argmin(axis=0)
-                # and keeps the identical first-index tie-break: argmax on
-                # the boolean equality matrix returns the first row whose
-                # value equals the columnwise minimum.
-                row_sq = np.minimum.reduce(rows_d2t, axis=0)
-                row_assign = (rows_d2t == row_sq).argmax(axis=0)
-                arm = np.arange(m)
-                old_assign = assignments[survivors]
-                changed = row_assign != old_assign
-                assignments[survivors] = row_assign
-                sq_dists[survivors] = row_sq
-                if k >= 2:
-                    rows_d2t[row_assign, arm] = np.inf
-                    self._refresh_survivor_bounds(rows_d2t, survivors, k)
-                if changed.any():
-                    switched = survivors[changed]
-                    # Exact incremental aggregation: remember which
-                    # clusters' membership changed this pass.
-                    if self._agg_changed is not None:
-                        self._agg_changed[old_assign[changed]] = True
-                        self._agg_changed[row_assign[changed]] = True
-                    else:
-                        self._agg_rebuild = True
-                    assert self._dirty is not None
-                    assert self._sorted_pos is not None
-                    assert self._sorted_dirty is not None
-                    newly = switched[~self._dirty[switched]]
-                    if newly.size:
-                        self._dirty[newly] = True
-                        self._sorted_dirty[self._sorted_pos[newly]] = True
-                        self._dirty_chunks.append(newly)
-                        self._dirty_count += newly.size
-                if self._dirty_count * self._REBUILD_FRACTION > n:
-                    self._rebuild_sorted_cache(k)
+                recompute += dirt_rows.size
 
-            self._sq_dists = sq_dists
-            self._moved = None
-            return assignments, sq_dists
-        finally:
-            self.counters.assign_calls += 1
-            self.counters.assign_seconds += time.perf_counter() - started
+        # Step 2: bound test against the *exact* assigned distance
+        # (Yinyang's local filter — no drift slack on the upper
+        # side) using the tightest group bound.
+        lmin = self._tightest_group_bound()
+
+        if k >= 2:
+            # Elkan inter-centroid filter: a point strictly inside
+            # s(a) = half the distance to a's nearest other centroid
+            # provably keeps its assignment (triangle inequality).
+            s_radius = _half_nearest_centroid(centroids)
+            s_radius *= 1.0 - _GUARD
+            bound = np.maximum(lmin, s_radius[assignments])
+        else:
+            bound = lmin.astype(np.float64)
+
+        upper = np.sqrt(sq_dists)
+        survivor_mask = upper * (1.0 + _GUARD) >= bound
+        survivors = np.flatnonzero(survivor_mask)
+        m = survivors.size
+        pruned = n - m
+
+        computed = recompute + m * k
+        self.counters.bound_check_hits += pruned
+        self.counters.bound_groups += n_groups
+        self.counters.distance_evals_computed += computed
+        self.counters.distance_evals_skipped += max(n * k - computed, 0)
+
+        if m:
+            rows_d2t = cdist(centroids, pts[survivors], metric="sqeuclidean")
+            row_sq, row_assign = _min_argmin_t(rows_d2t)
+            arm = np.arange(m)
+            old_assign = assignments[survivors]
+            changed = row_assign != old_assign
+            assignments[survivors] = row_assign
+            sq_dists[survivors] = row_sq
+            if k >= 2:
+                rows_d2t[row_assign, arm] = np.inf
+                self._refresh_survivor_bounds(rows_d2t, survivors)
+            if changed.any():
+                switched = survivors[changed]
+                # Exact incremental aggregation: remember which
+                # clusters' membership changed this pass.
+                if self._agg_changed is not None:
+                    self._agg_changed[old_assign[changed]] = True
+                    self._agg_changed[row_assign[changed]] = True
+                else:
+                    self._agg_rebuild = True
+                assert self._dirty is not None
+                assert self._sorted_pos is not None
+                assert self._sorted_dirty is not None
+                newly = switched[~self._dirty[switched]]
+                if newly.size:
+                    self._dirty[newly] = True
+                    self._sorted_dirty[self._sorted_pos[newly]] = True
+                    self._dirty_chunks.append(newly)
+                    self._dirty_count += newly.size
+            if self._dirty_count * self._REBUILD_FRACTION > n:
+                self._rebuild_sorted_cache(k)
+
+        self._sq_dists = sq_dists
+        self._moved = None
+        return assignments, sq_dists
 
     def aggregate(
         self, weighted_points: np.ndarray, assignments: np.ndarray, k: int
@@ -955,21 +783,18 @@ class ElkanKernel(LloydKernel):
             self._agg_k = k
             self._agg_rebuild = False
             self._agg_changed = np.zeros(k, dtype=bool)
-            self._member_rows = None
-            self._member_sub_assign = None
+            self._members = None
             return self._agg_sums
         changed = np.flatnonzero(self._agg_changed)
         if changed.size:
             # Reuse the changed-cluster member gather from cluster_mass
             # when it ran this pass (consume-once cache).
-            if self._member_rows is not None:
-                rows = self._member_rows
-                sub_assign = self._member_sub_assign
+            if self._members is not None:
+                rows, sub_assign = self._members
+                self._members = None
             else:
                 rows = np.flatnonzero(self._agg_changed[assignments])
                 sub_assign = assignments[rows]
-            self._member_rows = None
-            self._member_sub_assign = None
             sub_weighted = weighted_points[rows]
             sums = self._agg_sums
             for column in range(weighted_points.shape[1]):
@@ -1004,8 +829,7 @@ class ElkanKernel(LloydKernel):
         if changed.size:
             rows = np.flatnonzero(self._agg_changed[assignments])
             sub_assign = assignments[rows]
-            self._member_rows = rows
-            self._member_sub_assign = sub_assign
+            self._members = (rows, sub_assign)
             sub_mass = np.bincount(
                 sub_assign, weights=weights[rows], minlength=k
             )
@@ -1015,22 +839,16 @@ class ElkanKernel(LloydKernel):
     def notify_update(
         self, old_centroids: np.ndarray, new_centroids: np.ndarray
     ) -> None:
-        if not self._valid or self._lower is None:
+        if self._accumulate_group_drift(old_centroids, new_centroids) is None:
             return
-        drift = np.sqrt(((new_centroids - old_centroids) ** 2).sum(axis=1))
-        gstarts = self._gstarts
-        cum = self._cum_drift
-        assert gstarts is not None and cum is not None
-        # Per-group maximum drift, slightly inflated so subtracting the
-        # accumulated value at test time is strictly conservative.
-        group_drift = np.maximum.reduceat(drift, gstarts[:-1])
-        cum += group_drift * (1.0 + _GUARD)
+        # "moved" is tracked bitwise rather than as drift > 0 because a
+        # subnormal displacement can square to exactly zero.
         moved = np.any(new_centroids != old_centroids, axis=1)
         self._moved = moved if self._moved is None else self._moved | moved
 
 
-class BlasKernel(LloydKernel):
-    """float32 GEMM kernel (``exact=False``): raw speed over bit-identity.
+class BlasKernel(_GroupBoundsKernel):
+    """float32 GEMM kernel (tolerance-close): raw speed over bit-identity.
 
     Per run the points are copied once to a C-contiguous float32 matrix
     augmented with a constant-1 column.  Per pass the centroids become a
@@ -1064,29 +882,18 @@ class BlasKernel(LloydKernel):
     name = "blas"
     exact = False
 
-    #: Row-block budget for the live float32 score block (~4 MiB).
-    DEFAULT_TILE_BYTES = 4 << 20
+    _DRIFT_GUARD = _GUARD32
 
     #: Full re-sync cadence for the incrementally maintained sums.
     _AGG_RESYNC_PASSES = 32
 
-    def __init__(self, tile_bytes: int = DEFAULT_TILE_BYTES) -> None:
-        super().__init__()
-        if tile_bytes < 1024:
-            raise ValueError(f"tile_bytes must be >= 1024, got {tile_bytes}")
-        self._tile_bytes = tile_bytes
+    def _reset(self) -> None:
+        super()._reset()  # _sq_dists is tolerance-close float64 here
         self._paug: np.ndarray | None = None  # (n, d+1) float32, last col 1
         self._pnorm: np.ndarray | None = None  # (n,) float32 ‖x‖²
-        self._p32: np.ndarray | None = None  # (n, d) float32 view of paug
         self._dist_eps = 0.0
-        self._assignments: np.ndarray | None = None
-        self._sq_dists: np.ndarray | None = None  # (n,) float64, tolerance
         self._acc_drift: np.ndarray | None = None  # (n,) float64 per point
-        self._lower: np.ndarray | None = None  # (G, n) float32, +CD offset
-        self._cum_drift: np.ndarray | None = None
-        self._gstarts: np.ndarray | None = None
         self._drift: np.ndarray | None = None
-        self._valid = False
         self._agg_sums: np.ndarray | None = None
         self._agg_k = -1
         self._agg_age = 0
@@ -1104,51 +911,23 @@ class BlasKernel(LloydKernel):
 
     def start(self, points: np.ndarray, weights: np.ndarray) -> None:
         super().start(points, weights)
-        n, dim = points.shape
         pnorm64 = np.einsum("ij,ij->i", points, points)
         self._w2_total = float(np.dot(pnorm64, weights))
-        self._wp = None
-        self._last_centroids = None
-        paug = np.empty((n, dim + 1), dtype=np.float32)
-        paug[:, :dim] = points
-        paug[:, dim] = 1.0
-        self._paug = paug
-        self._p32 = paug[:, :dim]
-        self._pnorm = np.einsum(
-            "ij,ij->i", self._p32, self._p32, dtype=np.float32
-        )
-        max_norm = float(self._pnorm.max()) if n else 0.0
+        self._paug, self._pnorm = _augment_points32(points)
+        max_norm = float(self._pnorm.max()) if points.shape[0] else 0.0
         # Absolute slack for distance-space comparisons: float32 sqrt /
         # cancellation noise scales with the data magnitude.
         self._dist_eps = 1e-4 * (1.0 + np.sqrt(max(max_norm, 0.0)))
-        self._assignments = None
-        self._sq_dists = None
-        self._acc_drift = None
-        self._lower = None
-        self._cum_drift = None
-        self._gstarts = None
-        self._drift = None
-        self._valid = False
-        self._agg_sums = None
-        self._agg_k = -1
-        self._agg_age = 0
-        self._agg_rebuild = True
-        self._moves = []
-        self._mass = None
-        self._mass_k = -1
 
     def invalidate(self) -> None:
         self._valid = False
         self._agg_rebuild = True
         self._mass = None
 
-    def _tile_rows(self, k: int) -> int:
-        return max(512, self._tile_bytes // (4 * max(1, k)))
-
     def _centroid_mats(
         self, centroids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """float32 ``(-2c | ‖c‖²)`` GEMM operand + float32 centroids.
+    ) -> tuple[np.ndarray, float]:
+        """float32 ``(-2c | ‖c‖²)`` GEMM operand and the largest ``‖c‖²``.
 
         The operand is ``(k, d+1)`` so ``caug_t @ block.T`` emits scores
         already transposed ``(k, m)`` — the layout every downstream
@@ -1161,7 +940,22 @@ class BlasKernel(LloydKernel):
         cnorm = np.einsum("ij,ij->i", c32, c32, dtype=np.float32)
         caug_t[:, dim] = cnorm
         cn_max = float(cnorm.max()) if cnorm.size else 0.0
-        return caug_t, c32, cn_max
+        return caug_t, cn_max
+
+    def _score_blocks(
+        self, rows: np.ndarray | None, count: int, centroids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Score ``count`` rows (``rows=None``: every point) block by block."""
+        caug, cn_max = self._centroid_mats(centroids)
+        out_assign = np.empty(count, dtype=np.intp)
+        out_sq = np.empty(count, dtype=np.float64)
+        tile = _tile_rows(centroids.shape[0])
+        for lo in range(0, count, tile):
+            self._score_rows(
+                lo, min(count, lo + tile), rows, centroids, caug, cn_max,
+                out_assign, out_sq,
+            )
+        return out_assign, out_sq
 
     def _score_rows(
         self,
@@ -1173,7 +967,6 @@ class BlasKernel(LloydKernel):
         cn_max: float,
         out_assign: np.ndarray,
         out_sq: np.ndarray,
-        refresh_bounds: bool,
     ) -> None:
         """Score one block of rows: GEMM, argmin, refine, bounds refresh.
 
@@ -1198,11 +991,7 @@ class BlasKernel(LloydKernel):
         scores_t = caug @ block.T  # (k, m) — BLAS handles the view
         self.counters.gemm_calls += 1
         m = scores_t.shape[1]
-        # min + first-True match beats argmin(axis=0) ~2x while keeping
-        # the first-index tie-break (argmax on bool returns the first row
-        # equal to the columnwise minimum).
-        best = np.minimum.reduce(scores_t, axis=0)
-        ra = (scores_t == best).argmax(axis=0)
+        best, ra = _min_argmin_t(scores_t)
         ar = np.arange(m)
         sq_block = np.maximum(bnorm + best, np.float32(0.0)).astype(np.float64)
 
@@ -1228,7 +1017,7 @@ class BlasKernel(LloydKernel):
         out_assign[row_lo:row_hi] = ra
         out_sq[row_lo:row_hi] = sq_block
 
-        if refresh_bounds and k >= 2:
+        if k >= 2:
             # All-float32 bound refresh: the doubled ulp guard plus the
             # absolute ``dist_eps`` slack (applied here and at test time)
             # dominates the few-ulp float32 sqrt/add rounding.
@@ -1249,21 +1038,9 @@ class BlasKernel(LloydKernel):
         pts = self._points
         assert pts is not None
         n, k = pts.shape[0], centroids.shape[0]
-        self._gstarts = _centroid_groups(k)
-        n_groups = self._gstarts.size - 1
-        self._lower = np.full((max(n_groups, 1), n), np.inf, dtype=np.float32)
-        self._cum_drift = np.zeros(n_groups, dtype=np.float64)
-        caug, _c32, cn_max = self._centroid_mats(centroids)
-
-        assignments = np.empty(n, dtype=np.intp)
-        sq_dists = np.empty(n, dtype=np.float64)
-        tile = self._tile_rows(k)
-        for lo in range(0, n, tile):
-            hi = min(n, lo + tile)
-            self._score_rows(
-                lo, hi, None, centroids, caug, cn_max,
-                assignments, sq_dists, refresh_bounds=True,
-            )
+        n_groups = self._start_group_bounds(k)
+        self._lower = np.full((n_groups, n), np.inf, dtype=np.float32)
+        assignments, sq_dists = self._score_blocks(None, n, centroids)
         self._assignments = assignments
         self._sq_dists = sq_dists
         self._acc_drift = np.zeros(n, dtype=np.float64)
@@ -1275,90 +1052,67 @@ class BlasKernel(LloydKernel):
         self.counters.bound_groups += n_groups
         return assignments, sq_dists
 
-    def assign(self, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        assert self._points is not None, "kernel used before start()"
-        started = time.perf_counter()
+    def _assign(self, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n, k = self._points.shape[0], centroids.shape[0]
-        try:
-            self._last_centroids = centroids
-            self._mass = None  # assignment may change; mass cache is stale
-            if not self._valid or self._assignments is None:
-                return self._full_refresh(centroids)
+        self._last_centroids = centroids
+        self._mass = None  # assignment may change; mass cache is stale
+        if not self._valid or self._assignments is None:
+            return self._full_refresh(centroids)
 
-            assignments = self._assignments
-            sq_dists = self._sq_dists
-            acc = self._acc_drift
-            lower = self._lower
-            cum = self._cum_drift
-            assert sq_dists is not None and acc is not None
-            assert lower is not None and cum is not None
-            n_groups = lower.shape[0]
+        assignments = self._assignments
+        sq_dists = self._sq_dists
+        acc = self._acc_drift
+        assert sq_dists is not None and acc is not None
+        assert self._lower is not None
+        n_groups = self._lower.shape[0]
 
-            if self._drift is not None:
-                acc += self._drift[assignments]
-            upper_est = np.sqrt(sq_dists)
-            upper_est += acc
+        if self._drift is not None:
+            acc += self._drift[assignments]
+        upper_est = np.sqrt(sq_dists)
+        upper_est += acc
 
-            adj = cum * (1.0 + _GUARD32)
-            lmin = lower[0] - np.float32(adj[0])
-            for g in range(1, n_groups):
-                np.minimum(lmin, lower[g] - np.float32(adj[g]), out=lmin)
+        lmin = self._tightest_group_bound()
 
-            if k >= 2:
-                cc = cdist(centroids, centroids, metric="euclidean")
-                np.fill_diagonal(cc, np.inf)
-                s_radius = 0.5 * cc.min(axis=1)
-                s_radius *= 1.0 - _BLAS_GUARD
-                s_radius -= self._dist_eps
-                bound = np.maximum(lmin, s_radius[assignments])
-            else:
-                bound = lmin.astype(np.float64)
+        if k >= 2:
+            s_radius = _half_nearest_centroid(centroids)
+            s_radius *= 1.0 - _BLAS_GUARD
+            s_radius -= self._dist_eps
+            bound = np.maximum(lmin, s_radius[assignments])
+        else:
+            bound = lmin.astype(np.float64)
 
-            survivor_mask = (
-                upper_est * (1.0 + _BLAS_GUARD) + self._dist_eps >= bound
-            )
-            survivors = np.flatnonzero(survivor_mask)
-            m = survivors.size
-            pruned = n - m
+        survivor_mask = (
+            upper_est * (1.0 + _BLAS_GUARD) + self._dist_eps >= bound
+        )
+        survivors = np.flatnonzero(survivor_mask)
+        m = survivors.size
+        pruned = n - m
 
-            computed = m * k
-            # Pruned rows keep their assignment and their *stale* squared
-            # distance: ``sqrt(sq) + acc`` remains a valid upper bound by
-            # the triangle inequality, and its growing slack pushes stale
-            # rows back into the GEMM eventually.  SSE never reads these
-            # values (see ``compute_sse``).
+        computed = m * k
+        # Pruned rows keep their assignment and their *stale* squared
+        # distance: ``sqrt(sq) + acc`` remains a valid upper bound by
+        # the triangle inequality, and its growing slack pushes stale
+        # rows back into the GEMM eventually.  SSE never reads these
+        # values (see ``compute_sse``).
 
-            if m:
-                caug, _c32, cn_max = self._centroid_mats(centroids)
-                ra = np.empty(m, dtype=np.intp)
-                rsq = np.empty(m, dtype=np.float64)
-                tile = self._tile_rows(k)
-                for lo in range(0, m, tile):
-                    hi = min(m, lo + tile)
-                    self._score_rows(
-                        lo, hi, survivors, centroids, caug, cn_max,
-                        ra, rsq, refresh_bounds=True,
-                    )
-                old_assign = assignments[survivors]
-                changed = ra != old_assign
-                if changed.any():
-                    rows = survivors[changed]
-                    self._moves.append(
-                        (rows, old_assign[changed], ra[changed])
-                    )
-                assignments[survivors] = ra
-                sq_dists[survivors] = rsq
-                acc[survivors] = 0.0
+        if m:
+            ra, rsq = self._score_blocks(survivors, m, centroids)
+            old_assign = assignments[survivors]
+            changed = ra != old_assign
+            if changed.any():
+                self._moves.append(
+                    (survivors[changed], old_assign[changed], ra[changed])
+                )
+            assignments[survivors] = ra
+            sq_dists[survivors] = rsq
+            acc[survivors] = 0.0
 
-            self.counters.bound_check_hits += pruned
-            self.counters.bound_groups += n_groups
-            self.counters.distance_evals_computed += computed
-            self.counters.distance_evals_skipped += max(n * k - computed, 0)
-            self._drift = None
-            return assignments, sq_dists
-        finally:
-            self.counters.assign_calls += 1
-            self.counters.assign_seconds += time.perf_counter() - started
+        self.counters.bound_check_hits += pruned
+        self.counters.bound_groups += n_groups
+        self.counters.distance_evals_computed += computed
+        self.counters.distance_evals_skipped += max(n * k - computed, 0)
+        self._drift = None
+        return assignments, sq_dists
 
     def aggregate(
         self, weighted_points: np.ndarray, assignments: np.ndarray, k: int
@@ -1448,122 +1202,51 @@ class BlasKernel(LloydKernel):
     def notify_update(
         self, old_centroids: np.ndarray, new_centroids: np.ndarray
     ) -> None:
-        if not self._valid or self._lower is None:
-            return
-        drift = np.sqrt(((new_centroids - old_centroids) ** 2).sum(axis=1))
-        gstarts = self._gstarts
-        cum = self._cum_drift
-        assert gstarts is not None and cum is not None
-        group_drift = np.maximum.reduceat(drift, gstarts[:-1])
-        cum += group_drift * (1.0 + _GUARD32)
-        self._drift = drift if self._drift is None else self._drift + drift
+        drift = self._accumulate_group_drift(old_centroids, new_centroids)
+        if drift is not None:
+            self._drift = drift if self._drift is None else self._drift + drift
 
 
 _KERNELS: dict[str, type[LloydKernel]] = {
-    DenseKernel.name: DenseKernel,
-    HamerlyKernel.name: HamerlyKernel,
-    ElkanKernel.name: ElkanKernel,
-    BlasKernel.name: BlasKernel,
+    cls.name: cls for cls in (DenseKernel, ElkanKernel, BlasKernel)
 }
 
 
 def available_kernels() -> tuple[str, ...]:
-    """Names accepted by ``resolve_kernel`` (and the CLI/env knobs).
-
-    The deprecated ``tiled`` alias is accepted too but not listed.
-    """
+    """Names accepted by ``resolve_kernel`` (and the CLI/env knobs)."""
     return tuple(sorted(_KERNELS))
 
 
-def _resolve_exact(exact: bool | None) -> bool:
-    """Resolve the exactness requirement (arg → env → exact-by-default)."""
-    if exact is not None:
-        return bool(exact)
-    raw = os.environ.get(EXACT_ENV_VAR)
-    if raw is None or raw == "":
-        return True
-    lowered = raw.strip().lower()
-    if lowered in {"1", "true", "yes", "on"}:
-        return True
-    if lowered in {"0", "false", "no", "off"}:
-        return False
-    raise ValueError(
-        f"invalid {EXACT_ENV_VAR} value {raw!r}; "
-        "expected one of 1/0, true/false, yes/no, on/off"
-    )
-
-
-def resolve_kernel(
-    kernel: "str | LloydKernel | None" = None,
-    exact: bool | None = None,
-) -> LloydKernel:
+def resolve_kernel(kernel: "str | LloydKernel | None" = None) -> LloydKernel:
     """Resolve a kernel selection to a fresh kernel instance.
 
     Precedence: an explicit ``kernel`` argument (name or instance) wins,
     then the ``REPRO_KMEANS_KERNEL`` environment variable, then
     ``"dense"``.  Passing an instance hands it back as-is (the caller
-    owns its lifecycle).
-
-    ``exact`` gates the tier: ``None`` consults ``REPRO_KMEANS_EXACT``
-    and defaults to ``True``.  Selecting an ``exact=False`` kernel (the
-    ``blas`` tier, including via its deprecated ``tiled`` alias) without
-    the waiver raises a ``ValueError`` — accuracy is never downgraded
-    silently.  Unknown names raise a ``ValueError`` naming the bad
-    value, the valid kernels, and the environment variable when the name
-    came from it.
+    owns its lifecycle).  Unknown names raise a ``ValueError`` naming the
+    bad value, the valid kernels, and the environment variable when the
+    name came from it.
     """
-    global _tiled_alias_warned
-    require_exact = _resolve_exact(exact)
     if isinstance(kernel, LloydKernel):
-        if require_exact and not kernel.exact:
-            raise ValueError(
-                f"kernel {kernel.name!r} waives the bit-identity contract; "
-                f"opt in explicitly with exact=False "
-                f"({EXACT_ENV_VAR}=0 / --no-exact)"
-            )
         return kernel
-    from_env = False
-    name = kernel
+    name, from_env = kernel, False
     if name is None:
-        env_value = os.environ.get(KERNEL_ENV_VAR)
-        if env_value:
-            name = env_value
-            from_env = True
-    if name is None or name == "":
-        name = DenseKernel.name
-    if name == _TILED_ALIAS:
-        if not _tiled_alias_warned:
-            _tiled_alias_warned = True
-            warnings.warn(
-                "the 'tiled' kernel was retired; the name now aliases the "
-                "'blas' kernel (exact=False tier, explicit opt-in required)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        name = BlasKernel.name
-    cls = _KERNELS.get(name)
+        name = os.environ.get(KERNEL_ENV_VAR) or None
+        from_env = name is not None
+    cls = _KERNELS.get(name or DenseKernel.name)
     if cls is None:
+        what = (
+            f"{KERNEL_ENV_VAR}={name!r} names an unknown k-means kernel"
+            if from_env
+            else f"unknown k-means kernel {name!r}"
+        )
         valid = ", ".join(available_kernels())
-        if from_env:
-            raise ValueError(
-                f"{KERNEL_ENV_VAR}={name!r} names an unknown k-means kernel; "
-                f"expected one of {valid} (or the deprecated alias 'tiled')"
-            )
-        raise ValueError(
-            f"unknown k-means kernel {name!r}; expected one of {valid} "
-            f"(or the deprecated alias 'tiled')"
-        )
-    if require_exact and not cls.exact:
-        raise ValueError(
-            f"kernel {name!r} waives the bit-identity contract; "
-            f"opt in explicitly with exact=False "
-            f"({EXACT_ENV_VAR}=0 / --no-exact)"
-        )
+        raise ValueError(f"{what}; expected one of {valid}")
     return cls()
 
 
 def blas_mse_tolerance(points: np.ndarray, reference_mse: float) -> float:
-    """Documented error bound for the ``blas`` (``exact=False``) kernel.
+    """Documented error bound for the tolerance-close ``blas`` kernel.
 
     ``|mse_blas − mse_dense| ≤ 1e-3·mse_dense + 1024·eps32·scale²`` where
     ``scale² = max‖x‖²``.  The relative term covers the slightly looser
@@ -1580,9 +1263,7 @@ def blas_mse_tolerance(points: np.ndarray, reference_mse: float) -> float:
 
 
 def blas_assign_to_nearest(
-    points: np.ndarray,
-    centroids: np.ndarray,
-    tile_bytes: int = BlasKernel.DEFAULT_TILE_BYTES,
+    points: np.ndarray, centroids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-shot float32 GEMM nearest-centroid assignment (serving path).
 
@@ -1595,12 +1276,7 @@ def blas_assign_to_nearest(
     cents = np.ascontiguousarray(centroids, dtype=np.float64)
     n, dim = pts.shape
     k = cents.shape[0]
-    paug = np.empty((n, dim + 1), dtype=np.float32)
-    paug[:, :dim] = pts
-    paug[:, dim] = 1.0
-    pnorm = np.einsum(
-        "ij,ij->i", paug[:, :dim], paug[:, :dim], dtype=np.float32
-    )
+    paug, pnorm = _augment_points32(pts)
     c32 = np.ascontiguousarray(cents, dtype=np.float32)
     caug = np.empty((dim + 1, k), dtype=np.float32)
     np.multiply(c32.T, np.float32(-2.0), out=caug[:dim])
@@ -1610,7 +1286,7 @@ def blas_assign_to_nearest(
 
     assignments = np.empty(n, dtype=np.intp)
     sq_dists = np.empty(n, dtype=np.float64)
-    tile = max(512, tile_bytes // (4 * max(1, k)))
+    tile = _tile_rows(k)
     for lo in range(0, n, tile):
         hi = min(n, lo + tile)
         scores = paug[lo:hi] @ caug

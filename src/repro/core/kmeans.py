@@ -14,11 +14,11 @@ Algorithm (paper Section 2):
 4. repeat until ``MSE(n-1) - MSE(n) <= tol``.
 
 The assignment step (2) is delegated to a pluggable backend from
-:mod:`repro.core.kernels` — dense reference, Hamerly bounds pruning, or
-tiled matmul expansion — selected via the ``kernel=`` argument or the
-``REPRO_KMEANS_KERNEL`` environment variable.  All backends are
-bit-identical in every output (see the kernels module docstring), so the
-choice is purely a performance knob.
+:mod:`repro.core.kernels`, selected via the ``kernel=`` argument or the
+``REPRO_KMEANS_KERNEL`` environment variable (``docs/kernels.md`` lists
+them).  The exact backends are bit-identical in every output, so between
+them the choice is purely a performance knob; naming ``blas`` trades
+bit-identity for speed.
 
 Empty clusters — which the paper does not discuss but any fixed-k
 implementation must handle — are repaired by re-seeding the empty centroid
@@ -88,7 +88,6 @@ def lloyd(
     criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     kernel: "str | LloydKernel | None" = None,
-    exact: bool | None = None,
     abandon_sse: float | None = None,
 ) -> KMeansResult:
     """Run weighted Lloyd k-means from the given seeds.
@@ -102,16 +101,13 @@ def lloyd(
         criterion: convergence test; defaults to the paper's
             ``MSE(n-1) - MSE(n) <= 1e-9``.
         max_iter: hard iteration cap.
-        kernel: assignment backend — a name (``"dense"``, ``"hamerly"``,
-            ``"elkan"``, ``"blas"``), a
+        kernel: assignment backend — a name from
+            :func:`~repro.core.kernels.available_kernels`, a
             :class:`~repro.core.kernels.LloydKernel` instance, or ``None``
             to consult ``REPRO_KMEANS_KERNEL`` and fall back to the dense
-            reference.  Exact backends produce bit-identical results.
-        exact: ``True`` (the default when ``None`` and
-            ``REPRO_KMEANS_EXACT`` is unset) restricts selection to
-            bit-identical kernels; ``False`` additionally admits the
-            ``blas`` tier, whose outputs are only tolerance-close
-            (see :func:`repro.core.kernels.blas_mse_tolerance`).
+            reference.  Exact backends produce bit-identical results;
+            ``"blas"`` outputs are only tolerance-close (see
+            :func:`repro.core.kernels.blas_mse_tolerance`).
         abandon_sse: optional incumbent SSE for restart early-abandoning.
             When the run's optimistically-projected final SSE (current SSE
             minus the latest per-iteration improvement times the remaining
@@ -143,7 +139,7 @@ def lloyd(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
-    backend = resolve_kernel(kernel, exact=exact)
+    backend = resolve_kernel(kernel)
     backend.start(pts, wts)
 
     # Hoisted out of the loop: the weighted points never change.

@@ -60,7 +60,6 @@ def _merge_once(
     criterion: ConvergenceCriterion | None,
     max_iter: int,
     kernel: "str | LloydKernel | None" = None,
-    exact: bool | None = None,
 ) -> KMeansResult:
     """Run one weighted k-means over pooled centroids, seeded by weight."""
     seeds = largest_weight_seeds(pooled.centroids, k, pooled.weights)
@@ -71,7 +70,6 @@ def _merge_once(
         criterion=criterion,
         max_iter=max_iter,
         kernel=kernel,
-        exact=exact,
     )
 
 
@@ -83,7 +81,6 @@ def merge_kmeans(
     extra_random_restarts: int = 0,
     rng: np.random.Generator | None = None,
     kernel: "str | LloydKernel | None" = None,
-    exact: bool | None = None,
 ) -> MergeResult:
     """Collective merge: pool all partials, weighted k-means once.
 
@@ -102,7 +99,6 @@ def merge_kmeans(
         rng: randomness for the extra restarts (fresh default if needed).
         kernel: assignment backend forwarded to every merge k-means run
             (exact backends are bit-identical; performance knob only).
-        exact: ``False`` opts into the tolerance-close ``blas`` tier.
 
     Returns:
         A :class:`MergeResult`; the model's weights sum to the total number
@@ -120,9 +116,7 @@ def merge_kmeans(
         elapsed = time.perf_counter() - start
         return MergeResult(model=pooled, mse=0.0, iterations=0, seconds=elapsed)
     counters = KernelCounters()
-    best = _merge_once(
-        pooled, k, criterion, max_iter, kernel=kernel, exact=exact
-    )
+    best = _merge_once(pooled, k, criterion, max_iter, kernel=kernel)
     iterations = best.iterations
     counters.merge(best.counters)
     if extra_random_restarts:
@@ -136,7 +130,6 @@ def merge_kmeans(
                 criterion=criterion,
                 max_iter=max_iter,
                 kernel=kernel,
-                exact=exact,
             )
             iterations += candidate.iterations
             counters.merge(candidate.counters)
@@ -158,7 +151,6 @@ def incremental_merge_kmeans(
     criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     kernel: "str | LloydKernel | None" = None,
-    exact: bool | None = None,
 ) -> MergeResult:
     """Incremental merge: fold each partition into a running summary.
 
@@ -180,9 +172,7 @@ def incremental_merge_kmeans(
         if pooled.k <= k:
             running = pooled
             continue
-        result = _merge_once(
-            pooled, k, criterion, max_iter, kernel=kernel, exact=exact
-        )
+        result = _merge_once(pooled, k, criterion, max_iter, kernel=kernel)
         iterations += result.iterations
         last_mse = result.mse
         counters.merge(result.counters)

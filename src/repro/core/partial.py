@@ -54,7 +54,6 @@ def partial_kmeans(
     criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     kernel: "str | LloydKernel | None" = None,
-    exact: bool | None = None,
     early_abandon: bool = False,
 ) -> PartialResult:
     """Cluster one partition and summarise it as weighted centroids.
@@ -68,11 +67,8 @@ def partial_kmeans(
         seeding: seed strategy for the restarts (paper: ``"random"``).
         criterion: convergence criterion (paper default when ``None``).
         max_iter: per-run iteration cap.
-        kernel: assignment backend name (``"dense"``/``"hamerly"``/
-            ``"elkan"``/``"blas"``) forwarded to every restart; exact
-            backends are bit-identical.
-        exact: ``False`` opts into the tolerance-close ``blas`` tier
-            (forwarded to :func:`~repro.core.kernels.resolve_kernel`).
+        kernel: assignment backend name (see ``docs/kernels.md``)
+            forwarded to every restart; exact backends are bit-identical.
         early_abandon: forward the restart early-abandon heuristic.
 
     Returns:
@@ -90,7 +86,6 @@ def partial_kmeans(
         criterion=criterion,
         max_iter=max_iter,
         kernel=kernel,
-        exact=exact,
         early_abandon=early_abandon,
     )
     elapsed = time.perf_counter() - start

@@ -86,12 +86,10 @@ class PartialMergeKMeans:
         criterion: convergence criterion (paper's 1e-9 MSE delta when
             ``None``).
         max_iter: per-run Lloyd iteration cap.
-        kernel: Lloyd assignment backend (``"dense"``/``"hamerly"``/
-            ``"elkan"``/``"blas"``) used by partial and merge steps
-            alike; ``None`` consults ``REPRO_KMEANS_KERNEL``.  Exact
-            backends are bit-identical — a performance knob only.
-        exact: ``False`` opts into the tolerance-close ``blas`` tier
-            (forwarded to :func:`~repro.core.kernels.resolve_kernel`).
+        kernel: Lloyd assignment backend (see ``docs/kernels.md``) used
+            by partial and merge steps alike; ``None`` consults
+            ``REPRO_KMEANS_KERNEL``.  Exact backends are bit-identical —
+            a performance knob only.
         early_abandon: terminate restarts whose projected SSE cannot beat
             the incumbent best (heuristic; default off).
         seed: seed for the internal random generator.
@@ -119,7 +117,6 @@ class PartialMergeKMeans:
         criterion: ConvergenceCriterion | None = None,
         max_iter: int = DEFAULT_MAX_ITER,
         kernel: str | None = None,
-        exact: bool | None = None,
         early_abandon: bool = False,
         seed: int | None = None,
     ) -> None:
@@ -147,7 +144,6 @@ class PartialMergeKMeans:
         self.criterion = criterion
         self.max_iter = max_iter
         self.kernel = kernel
-        self.exact = exact
         self.early_abandon = early_abandon
         self._rng = np.random.default_rng(seed)
 
@@ -234,7 +230,6 @@ class PartialMergeKMeans:
                 criterion=self.criterion,
                 max_iter=self.max_iter,
                 kernel=self.kernel,
-                exact=self.exact,
                 early_abandon=self.early_abandon,
             )
 
@@ -253,7 +248,6 @@ class PartialMergeKMeans:
                 criterion=self.criterion,
                 max_iter=self.max_iter,
                 kernel=self.kernel,
-                exact=self.exact,
             )
         return merge_kmeans(
             summaries,
@@ -263,5 +257,4 @@ class PartialMergeKMeans:
             extra_random_restarts=self.merge_restarts,
             rng=self._rng,
             kernel=self.kernel,
-            exact=self.exact,
         )

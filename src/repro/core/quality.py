@@ -58,7 +58,6 @@ def assign_to_nearest(
     points: np.ndarray,
     centroids: np.ndarray,
     kernel: str | None = None,
-    exact: bool | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assign each point to its nearest centroid.
 
@@ -69,8 +68,8 @@ def assign_to_nearest(
     Args:
         points: ``(n, d)`` query points (any float dtype/layout).
         centroids: ``(k, d)`` model centroids.
-        kernel: ``"blas"`` (with ``exact=False``) routes the one-shot
-            assignment through the float32 GEMM fast path of
+        kernel: ``"blas"`` routes the one-shot assignment through the
+            float32 GEMM fast path of
             :func:`repro.core.kernels.blas_assign_to_nearest` —
             assignments may differ from the dense reference only where
             two centroids are within float32 noise of equidistant, and
@@ -78,15 +77,13 @@ def assign_to_nearest(
             centroid.  Every other value (``None``/exact kernel names)
             uses the dense reference: bounds kernels have no advantage on
             a one-shot assignment, so there is nothing to select.
-        exact: ``False`` opts into the ``blas`` tier (mirrors
-            :func:`repro.core.kernels.resolve_kernel`'s gate).
     """
     if kernel is not None:
-        # Validate through the central resolver so unknown names and a
-        # missing exact=False waiver fail identically to the Lloyd path.
+        # Validate through the central resolver so unknown names fail
+        # identically to the Lloyd path.
         from repro.core.kernels import blas_assign_to_nearest, resolve_kernel
 
-        backend = resolve_kernel(kernel, exact=exact)
+        backend = resolve_kernel(kernel)
         if not backend.exact:
             return blas_assign_to_nearest(points, centroids)
     d2 = pairwise_sq_distances(points, centroids)

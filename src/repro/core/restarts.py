@@ -64,7 +64,6 @@ def best_of_restarts(
     criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     kernel: "str | LloydKernel | None" = None,
-    exact: bool | None = None,
     early_abandon: bool = False,
 ) -> RestartReport:
     """Run ``restarts`` independent k-means and keep the lowest-MSE model.
@@ -81,8 +80,6 @@ def best_of_restarts(
         max_iter: per-run iteration cap.
         kernel: assignment backend name or instance, forwarded to
             :func:`~repro.core.kmeans.lloyd` for every restart.
-        exact: forwarded to :func:`~repro.core.kernels.resolve_kernel`;
-            ``False`` admits the tolerance-close ``blas`` tier.
         early_abandon: terminate a restart once its projected final SSE
             exceeds the incumbent best (heuristic; default off).  Seed
             consumption from ``rng`` is unaffected, so the seeds — and the
@@ -119,7 +116,6 @@ def best_of_restarts(
             criterion=criterion,
             max_iter=max_iter,
             kernel=kernel,
-            exact=exact,
             abandon_sse=abandon_sse,
         )
         mses.append(result.mse)

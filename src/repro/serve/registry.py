@@ -225,9 +225,8 @@ class ModelRegistry:
         max_iter: Lloyd cap for all folds and tree merges.
         kernel: assignment backend for all folds and tree merges
             (exact kernels are bit-identical; performance knob only).
-        exact: ``False`` opts into the tolerance-close ``blas`` tier for
-            folds, merges *and* serving-time assigns (the float32 GEMM
-            one-shot path).
+            ``"blas"`` is tolerance-close for folds, merges *and*
+            serving-time assigns (the float32 GEMM one-shot path).
         ttl_seconds: serve-side staleness horizon — responses from a
             model older than this carry ``stale=True`` (and are counted)
             so callers can trigger refreshes; ``None`` disables.
@@ -247,7 +246,6 @@ class ModelRegistry:
         criterion: ConvergenceCriterion | None = None,
         max_iter: int = DEFAULT_MAX_ITER,
         kernel: str | None = None,
-        exact: bool | None = None,
         ttl_seconds: float | None = None,
         fsync: bool = True,
     ) -> None:
@@ -263,7 +261,6 @@ class ModelRegistry:
         self.criterion = criterion
         self.max_iter = max_iter
         self.kernel = kernel
-        self.exact = exact
         self.ttl_seconds = ttl_seconds
         self._fsync = fsync
         self._lock = threading.Lock()
@@ -330,7 +327,6 @@ class ModelRegistry:
                     criterion=self.criterion,
                     max_iter=self.max_iter,
                     kernel=self.kernel,
-                    exact=self.exact,
                 )
                 self.partitions_replayed += 1
         if base is not None:
@@ -355,7 +351,6 @@ class ModelRegistry:
             criterion=self.criterion,
             max_iter=self.max_iter,
             kernel=self.kernel,
-            exact=self.exact,
             node_sink=node_sink,
             preloaded=preloaded,
         )
@@ -445,7 +440,6 @@ class ModelRegistry:
                 criterion=self.criterion,
                 max_iter=self.max_iter,
                 kernel=self.kernel,
-                exact=self.exact,
             )
             fold_began = time.perf_counter()
             message = CentroidMessage(
@@ -463,7 +457,6 @@ class ModelRegistry:
                 criterion=self.criterion,
                 max_iter=self.max_iter,
                 kernel=self.kernel,
-                exact=self.exact,
             )
             entry.tree.offer(message)
             entry.partitions = index + 1
@@ -497,7 +490,7 @@ class ModelRegistry:
         with entry.lock:
             model = self._served_model(entry)
             assignments, sq_dists = assign_to_nearest(
-                pts, model.centroids, kernel=self.kernel, exact=self.exact
+                pts, model.centroids, kernel=self.kernel
             )
             age, stale = self._freshness(entry)
             return AssignResult(

@@ -169,7 +169,6 @@ class CoresetTree:
         max_iter: Lloyd iteration cap for node/query merges.
         kernel: assignment backend for all merges (exact kernels are
             bit-identical, so this is a pure performance knob).
-        exact: ``False`` opts into the tolerance-close ``blas`` tier.
         node_sink: optional callback ``(start, count, summary)`` invoked
             for every *computed* internal merge — the journaling hook.
         preloaded: optional mapping ``(start, count) -> summary`` of
@@ -183,7 +182,6 @@ class CoresetTree:
         criterion: ConvergenceCriterion | None = None,
         max_iter: int = DEFAULT_MAX_ITER,
         kernel: str | None = None,
-        exact: bool | None = None,
         node_sink: Callable[[int, int, WeightedCentroidSet], None] | None = None,
         preloaded: Mapping[tuple[int, int], WeightedCentroidSet] | None = None,
     ) -> None:
@@ -193,7 +191,6 @@ class CoresetTree:
         self.criterion = criterion
         self.max_iter = max_iter
         self.kernel = kernel
-        self.exact = exact
         self._node_sink = node_sink
         self._preloaded = dict(preloaded or {})
         self._roots: list[CoresetNode] = []
@@ -313,7 +310,6 @@ class CoresetTree:
                 criterion=self.criterion,
                 max_iter=self.max_iter,
                 kernel=self.kernel,
-                exact=self.exact,
             )
             summary = result.model
             self.node_merges += 1
@@ -409,7 +405,6 @@ class CoresetTree:
             criterion=self.criterion,
             max_iter=self.max_iter,
             kernel=self.kernel,
-            exact=self.exact,
         )
         if result.counters is not None and result.counters.assign_calls:
             merge_counter_dicts(self.kernel_counters, result.counters.as_dict())
@@ -488,7 +483,6 @@ class CoresetTreeSink(MergeKMeansSink):
         criterion: ConvergenceCriterion | None = None,
         max_iter: int = DEFAULT_MAX_ITER,
         kernel: str | None = None,
-        exact: bool | None = None,
         evaluate_on: Mapping[str, np.ndarray] | None = None,
         journal: "JournalWriter | None" = None,
         query_every: int | None = None,
@@ -500,7 +494,6 @@ class CoresetTreeSink(MergeKMeansSink):
             criterion=criterion,
             max_iter=max_iter,
             kernel=kernel,
-            exact=exact,
             evaluate_on=evaluate_on,
             journal=journal,
             name=name,
@@ -539,7 +532,6 @@ class CoresetTreeSink(MergeKMeansSink):
                 criterion=self.criterion,
                 max_iter=self.max_iter,
                 kernel=self.kernel,
-                exact=self.exact,
                 node_sink=node_sink,
                 preloaded=self._preloaded_nodes.get(cell_id),
             )

@@ -17,7 +17,8 @@ Two further kinds target :mod:`repro.stream.shard` worker *processes*
 rather than in-plan operators (``FaultPlan.wrap`` ignores them):
 
 * ``kill``           — the worker SIGKILLs itself mid-task,
-* ``heartbeat-drop`` — the worker silently stops heartbeating.
+* ``heartbeat-drop`` — the worker goes silent: it stops heartbeating and
+  makes no further progress until the coordinator fences it.
 
 Injection decisions depend only on ``(plan seed, spec index, target
 name, item index)`` — never on thread scheduling — so the same plan

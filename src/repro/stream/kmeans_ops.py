@@ -153,7 +153,6 @@ class PartialKMeansOperator(Transform):
         criterion: ConvergenceCriterion | None = None,
         max_iter: int = DEFAULT_MAX_ITER,
         kernel: str | None = None,
-        exact: bool | None = None,
         seed_sequence: np.random.SeedSequence | None = None,
         name: str = "partial",
     ) -> None:
@@ -166,7 +165,6 @@ class PartialKMeansOperator(Transform):
         self.criterion = criterion
         self.max_iter = max_iter
         self.kernel = kernel
-        self.exact = exact
         self._seed_sequence = (
             seed_sequence if seed_sequence is not None else np.random.SeedSequence()
         )
@@ -179,7 +177,6 @@ class PartialKMeansOperator(Transform):
             criterion=self.criterion,
             max_iter=self.max_iter,
             kernel=self.kernel,
-            exact=self.exact,
             seed_sequence=self._seed_sequence,
             name=self.name,
         )
@@ -218,7 +215,6 @@ class PartialKMeansOperator(Transform):
             criterion=self.criterion,
             max_iter=self.max_iter,
             kernel=self.kernel,
-            exact=self.exact,
         )
         yield CentroidMessage(
             cell_id=item.cell_id,
@@ -242,7 +238,6 @@ class PartialKMeansOperator(Transform):
             criterion=self.criterion,
             max_iter=self.max_iter,
             kernel=self.kernel,
-            exact=self.exact,
             entropy=base.entropy,
             spawn_key=tuple(base.spawn_key),
             name=self.name,
@@ -269,7 +264,6 @@ class PartialKMeansSpec:
     spawn_key: tuple[int, ...]
     name: str
     kernel: str | None = None
-    exact: bool | None = None
 
     def build(self) -> PartialKMeansOperator:
         return PartialKMeansOperator(
@@ -279,7 +273,6 @@ class PartialKMeansSpec:
             criterion=self.criterion,
             max_iter=self.max_iter,
             kernel=self.kernel,
-            exact=self.exact,
             seed_sequence=np.random.SeedSequence(
                 entropy=self.entropy, spawn_key=self.spawn_key
             ),
@@ -321,7 +314,6 @@ class MergeKMeansSink(Sink):
         criterion: ConvergenceCriterion | None = None,
         max_iter: int = DEFAULT_MAX_ITER,
         kernel: str | None = None,
-        exact: bool | None = None,
         evaluate_on: Mapping[str, np.ndarray] | None = None,
         journal: "JournalWriter | None" = None,
         name: str = "merge",
@@ -331,7 +323,6 @@ class MergeKMeansSink(Sink):
         self.criterion = criterion
         self.max_iter = max_iter
         self.kernel = kernel
-        self.exact = exact
         self._evaluate_on = dict(evaluate_on or {})
         self._journal = journal
         self._pending: dict[str, list[CentroidMessage]] = {}
@@ -419,7 +410,6 @@ class MergeKMeansSink(Sink):
             criterion=self.criterion,
             max_iter=self.max_iter,
             kernel=self.kernel,
-            exact=self.exact,
         )
         total = time.perf_counter() - start
         for message in messages:
@@ -485,7 +475,6 @@ def build_partial_merge_graph(
     criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     kernel: str | None = None,
-    exact: bool | None = None,
 ) -> DataflowGraph:
     """Assemble the scan → partial → merge dataflow for ``cells``."""
     graph = DataflowGraph()
@@ -499,7 +488,6 @@ def build_partial_merge_graph(
         criterion=criterion,
         max_iter=max_iter,
         kernel=kernel,
-        exact=exact,
         seed_sequence=seed_sequence,
     )
     merge = MergeKMeansSink(
@@ -507,7 +495,6 @@ def build_partial_merge_graph(
         criterion=criterion,
         max_iter=max_iter,
         kernel=kernel,
-        exact=exact,
         evaluate_on=cells if evaluate_against_raw else None,
     )
     graph.add(source, cost_hint=1.0)
@@ -535,7 +522,6 @@ def run_partial_merge_stream(
     backend: str | None = None,
     workers: int | None = None,
     kernel: str | None = None,
-    exact: bool | None = None,
 ) -> tuple[dict[str, ClusterModel], ExecutionResult]:
     """Cluster every grid cell with the streamed partial/merge pipeline.
 
@@ -572,13 +558,11 @@ def run_partial_merge_stream(
             backend (one worker process per clone); ignored when
             ``partial_clones`` is given explicitly.
         kernel: Lloyd assignment backend for the partial and merge stages
-            (``"dense"``/``"hamerly"``/``"elkan"``/``"blas"``); ``None``
-            consults the ``REPRO_KMEANS_KERNEL`` environment variable.
-            Exact kernels are bit-identical, so the flag never changes
+            (see ``docs/kernels.md``); ``None`` consults the
+            ``REPRO_KMEANS_KERNEL`` environment variable.  Exact kernels
+            are bit-identical, so choosing between them never changes
             results — counters in the execution metrics show what it
-            saved.
-        exact: ``False`` opts into the tolerance-close ``blas`` tier,
-            which waives bit-identity for speed (see
+            saved; ``"blas"`` waives bit-identity for speed (see
             :func:`repro.core.kernels.blas_mse_tolerance`).
 
     Returns:
@@ -609,7 +593,6 @@ def run_partial_merge_stream(
             criterion=criterion,
             max_iter=max_iter,
             kernel=kernel,
-            exact=exact,
             config=shard_config,
             fault_plan=fault_plan,
         )
@@ -624,7 +607,6 @@ def run_partial_merge_stream(
         criterion=criterion,
         max_iter=max_iter,
         kernel=kernel,
-        exact=exact,
     )
     for name, policy in (supervision or {}).items():
         graph.set_supervision(name, policy)

@@ -115,7 +115,6 @@ class _QueryState:
     shards: int | None = None
     shard_config: Any = None
     kernel: str | None = None
-    exact: bool | None = None
     prefix_queries: bool = False
     prefix_query_every: int | None = None
     prefix_query_window: int | None = None
@@ -285,33 +284,29 @@ class Query:
         self._state.shard_config = config
         return self
 
-    def with_kernel(self, kernel: str, exact: bool | None = None) -> "Query":
+    def with_kernel(self, kernel: str) -> "Query":
         """Choose the Lloyd assignment kernel for all k-means stages.
 
         Args:
-            kernel: ``"dense"`` (reference), ``"hamerly"`` (single lower
-                bound pruning), ``"elkan"`` (group bounds, the high-k
-                winner) or ``"blas"`` (float32 GEMM, requires
-                ``exact=False``).  Exact kernels are bit-identical in
-                every output, so the choice is a pure performance knob —
-                which is also why the checkpoint manifest does not record
-                it: a journaled run may resume under a different exact
-                kernel and still produce the same bits.
-            exact: pass ``False`` to opt into the ``blas`` tier, which
-                waives bit-identity for a documented MSE tolerance
-                (:func:`repro.core.kernels.blas_mse_tolerance`).  Resuming
-                a journal under ``exact=False`` forfeits the bit-identity
-                resume guarantee.
+            kernel: a name from ``docs/kernels.md``.  Exact kernels are
+                bit-identical in every output, so choosing between them
+                is a pure performance knob — which is also why the
+                checkpoint manifest does not record it: a journaled run
+                may resume under a different exact kernel and still
+                produce the same bits.  ``"blas"`` waives bit-identity
+                for a documented MSE tolerance
+                (:func:`repro.core.kernels.blas_mse_tolerance`); resuming
+                a journal under it forfeits the bit-identity resume
+                guarantee.
         """
         try:
-            # Full selection semantics (two tiers, deprecated aliases,
-            # env interplay) live in resolve_kernel; validate through it
-            # so Query can never accept a kernel execute() would reject.
-            resolve_kernel(kernel, exact=exact)
+            # Selection semantics live in resolve_kernel; validate
+            # through it so Query can never accept a kernel execute()
+            # would reject.
+            resolve_kernel(kernel)
         except ValueError as error:
             raise QueryError(str(error)) from None
         self._state.kernel = kernel
-        self._state.exact = exact
         return self
 
     def with_prefix_queries(
@@ -485,7 +480,6 @@ class Query:
             criterion=cluster["criterion"],
             max_iter=cluster["max_iter"],
             kernel=state.kernel,
-            exact=state.exact,
             seed_sequence=seed_sequence,
         )
         if state.prefix_queries:
@@ -494,7 +488,6 @@ class Query:
                 criterion=merge["criterion"],
                 max_iter=merge["max_iter"],
                 kernel=state.kernel,
-                exact=state.exact,
                 evaluate_on=evaluate_on,
                 journal=journal,
                 query_every=state.prefix_query_every,
@@ -506,7 +499,6 @@ class Query:
                 criterion=merge["criterion"],
                 max_iter=merge["max_iter"],
                 kernel=state.kernel,
-                exact=state.exact,
                 evaluate_on=evaluate_on,
                 journal=journal,
             )
@@ -627,7 +619,6 @@ class Query:
             criterion=cluster["criterion"],
             max_iter=cluster["max_iter"],
             kernel=state.kernel,
-            exact=state.exact,
             config=config,
             fault_plan=fault_plan,
         )
@@ -653,7 +644,6 @@ class Query:
             criterion=merge["criterion"],
             max_iter=merge["max_iter"],
             kernel=state.kernel,
-            exact=state.exact,
             query_every=state.prefix_query_every,
             query_window=state.prefix_query_window,
         )

@@ -66,7 +66,7 @@ import traceback
 from dataclasses import dataclass, field
 from multiprocessing import connection
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -230,7 +230,6 @@ class CellTask:
     criterion: ConvergenceCriterion | None
     max_iter: int
     kernel: str | None
-    exact: bool | None
     entropy: int
     spawn_key: tuple[int, ...]
     journal_path: str
@@ -256,12 +255,12 @@ class _WorkerChaos:
         seed: int,
         indexed_specs: list[tuple[int, FaultSpec]],
         target: str,
-        drop_heartbeats: threading.Event,
+        go_silent: Callable[[], None],
     ) -> None:
         self._seed = seed
         self._specs = list(indexed_specs)
         self._target = target
-        self._drop = drop_heartbeats
+        self._go_silent = go_silent
         self._spent: dict[int, int] = {}
         self._counter = 0
 
@@ -286,7 +285,7 @@ class _WorkerChaos:
                 continue
             self._spent[spec_index] = spent + 1
             if spec.kind == "heartbeat-drop":
-                self._drop.set()
+                self._go_silent()
             elif spec.kind == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
 
@@ -374,7 +373,6 @@ def _run_cell_task(
                     criterion=task.criterion,
                     max_iter=task.max_iter,
                     kernel=task.kernel,
-                    exact=task.exact,
                 )
                 message = CentroidMessage(
                     cell_id=task.cell_id,
@@ -400,7 +398,6 @@ def _run_cell_task(
             criterion=task.criterion,
             max_iter=task.max_iter,
             kernel=task.kernel,
-            exact=task.exact,
             evaluate_on=points,
         )
         writer.append_cell(task.cell_id, model)
@@ -416,7 +413,6 @@ def _merge_messages(
     max_iter: int,
     kernel: str | None,
     evaluate_on: np.ndarray | None,
-    exact: bool | None = None,
 ) -> ClusterModel:
     """Collective merge over one cell's partition summaries.
 
@@ -432,7 +428,6 @@ def _merge_messages(
         criterion=criterion,
         max_iter=max_iter,
         kernel=kernel,
-        exact=exact,
     )
     total = time.perf_counter() - start
     final_mse = (
@@ -493,7 +488,22 @@ def _shard_worker_main(
     drop_heartbeats = threading.Event()
     stop_heartbeats = threading.Event()
     progress = [0]
-    chaos = _WorkerChaos(plan_seed, indexed_specs, name, drop_heartbeats)
+
+    def go_silent() -> None:
+        """``heartbeat-drop``: no beats and no progress until fenced.
+
+        The fault modelled is a wedged or partitioned worker, so the task
+        thread parks here until the coordinator's SIGKILL — the outcome
+        is then decided by the seeded plan, not by whether the host lets
+        the worker finish its cells before the timeout fires.  It parks
+        *draining the connection*: the coordinator's sends block once the
+        pipe is full, and it can only fence this worker from its loop.
+        """
+        drop_heartbeats.set()
+        while True:
+            conn.recv()
+
+    chaos = _WorkerChaos(plan_seed, indexed_specs, name, go_silent)
 
     def heartbeat_loop() -> None:
         seq = 0
@@ -641,7 +651,6 @@ class ShardCoordinator:
         criterion: ConvergenceCriterion | None = None,
         max_iter: int = DEFAULT_MAX_ITER,
         kernel: str | None = None,
-        exact: bool | None = None,
         config: ShardConfig | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> None:
@@ -662,7 +671,6 @@ class ShardCoordinator:
         self._criterion = criterion
         self._max_iter = max_iter
         self._kernel = kernel
-        self._exact = exact
         self._n_chunks = n_chunks
         self._tempdir: tempfile.TemporaryDirectory | None = None
         if self.config.run_dir is not None:
@@ -779,7 +787,6 @@ class ShardCoordinator:
             criterion=self._criterion,
             max_iter=self._max_iter,
             kernel=self._kernel,
-            exact=self._exact,
             entropy=int(self._seed_sequence.entropy),
             spawn_key=tuple(self._seed_sequence.spawn_key),
             journal_path=str(journal),
@@ -894,7 +901,6 @@ class ShardCoordinator:
                 criterion=self._criterion,
                 max_iter=self._max_iter,
                 kernel=self._kernel,
-                exact=self._exact,
                 evaluate_on=cell.points,
             )
             if len(union) == expected:
@@ -1090,7 +1096,6 @@ def run_sharded(
     criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     kernel: str | None = None,
-    exact: bool | None = None,
     config: ShardConfig | None = None,
     fault_plan: FaultPlan | None = None,
 ) -> tuple[dict[str, ClusterModel], ExecutionMetrics]:
@@ -1118,7 +1123,6 @@ def run_sharded(
         criterion: convergence criterion for all k-means stages.
         max_iter: Lloyd iteration cap for all stages.
         kernel: Lloyd assignment backend for all stages.
-        exact: ``False`` opts into the tolerance-close ``blas`` tier.
         config: runtime tuning (worker count, transport, heartbeats,
             reassignment budget, journal placement).
         fault_plan: optional chaos engine; ``kill`` / ``heartbeat-drop``
@@ -1141,7 +1145,6 @@ def run_sharded(
         criterion=criterion,
         max_iter=max_iter,
         kernel=kernel,
-        exact=exact,
         config=config,
         fault_plan=fault_plan,
     )

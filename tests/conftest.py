@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.kernels import blas_mse_tolerance
+from repro.core.quality import mse
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:
@@ -26,6 +29,13 @@ def make_blobs(
     ]
     points = np.vstack(blocks)
     return points[generator.permutation(points.shape[0])]
+
+
+def assert_within_blas_tolerance(points, dense_model, blas_model) -> None:
+    """A ``blas`` model's data MSE is tolerance-close to the dense one's."""
+    reference = mse(points, dense_model.centroids)
+    error = abs(mse(points, blas_model.centroids) - reference)
+    assert error <= blas_mse_tolerance(points, reference), error
 
 
 @pytest.fixture

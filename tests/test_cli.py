@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.stream.checkpoint import read_journal
 
 
 class TestParser:
@@ -335,6 +338,52 @@ class TestCheckpointCli:
         out = capsys.readouterr().out
         assert "journal:" in out
         assert (run_dir / "journal.rjl").exists()
+
+    def test_blas_run_names_its_kernel_in_every_artefact(
+        self, tmp_path, capsys
+    ):
+        """Naming ``blas`` is the waiver — and every output says so."""
+        buckets = self._generate(tmp_path, capsys)
+        run_dir, trace = tmp_path / "run", tmp_path / "trace.json"
+        argv = [
+            "query", str(buckets),
+            "--k", "4", "--chunks", "2", "--restarts", "1", "--seed", "0",
+            "--kernel", "blas",
+            "--checkpoint-dir", str(run_dir), "--trace-json", str(trace),
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        for stage in ("partial", "merge"):
+            assert f"kernel[{stage}]: blas" in out
+        assert "gemm=" in out and "refined=" in out
+        traced = json.loads(trace.read_text())["kernel_counters"]
+        assert {c["kernel"] for c in traced.values()} == {"blas"}
+        journaled = read_journal(run_dir / "journal.rjl").partitions
+        names = {
+            message.kernel_counters["kernel"]
+            for by_partition in journaled.values()
+            for message in by_partition.values()
+        }
+        assert names == {"blas"}
+
+    @pytest.mark.parametrize("command", ["query", "cluster", "serve"])
+    def test_retired_kernel_flags_are_argparse_errors(
+        self, command, tmp_path, capsys
+    ):
+        for extra, complaint in (
+            (["--no-exact"], "unrecognized arguments: --no-exact"),
+            (["--kernel", "hamerly"], "invalid choice: 'hamerly'"),
+            (["--kernel", "tiled"], "invalid choice: 'tiled'"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, str(tmp_path), *extra])
+            assert excinfo.value.code == 2
+            error_lines = [
+                line
+                for line in capsys.readouterr().err.splitlines()
+                if "error:" in line
+            ]
+            assert len(error_lines) == 1 and complaint in error_lines[0]
 
     def test_query_quarantine_flag(self, tmp_path, capsys):
         buckets = self._generate(tmp_path, capsys)

@@ -5,9 +5,9 @@ kernel must produce bit-identical ``assignments``, ``centroids``, ``sse``
 and ``iterations`` to the dense reference on every input — including
 weighted merge-style configurations and empty-cluster repair paths —
 because the engine's crash-resume and cross-backend determinism
-guarantees are built on top of it.  The ``blas`` tier (``exact=False``)
-waives bit-identity for speed and must instead stay within the
-documented :func:`~repro.core.kernels.blas_mse_tolerance` bound.
+guarantees are built on top of it.  The ``blas`` kernel waives
+bit-identity for speed and must instead stay within the documented
+:func:`~repro.core.kernels.blas_mse_tolerance` bound.
 """
 
 from __future__ import annotations
@@ -17,14 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.kernels as kernels_module
 from repro.core.kernels import (
-    EXACT_ENV_VAR,
     KERNEL_ENV_VAR,
     BlasKernel,
     DenseKernel,
     ElkanKernel,
-    HamerlyKernel,
     KernelCounters,
     aggregate_weighted_sums,
     available_kernels,
@@ -38,7 +35,7 @@ from repro.core.model import WeightedCentroidSet
 from repro.core.restarts import best_of_restarts
 
 #: Exact-tier kernels checked bit-for-bit against the dense reference.
-ALT_KERNELS = ("hamerly", "elkan")
+ALT_KERNELS = ("elkan",)
 
 
 def _assert_identical(ref, alt, label):
@@ -53,7 +50,7 @@ def _assert_identical(ref, alt, label):
 
 def _assert_blas_close(ref, pts, seeds, label, **lloyd_kwargs):
     """The blas tier must stay within the documented MSE tolerance."""
-    alt = lloyd(pts, seeds, kernel="blas", exact=False, **lloyd_kwargs)
+    alt = lloyd(pts, seeds, kernel="blas", **lloyd_kwargs)
     tol = blas_mse_tolerance(pts, ref.mse)
     assert abs(alt.mse - ref.mse) <= tol, (label, alt.mse, ref.mse, tol)
     return alt
@@ -304,9 +301,8 @@ def test_bounds_kernels_account_every_evaluation(name):
         == dense.counters.distance_evals_computed
     )
     assert fast.counters.assign_seconds >= 0.0
-    if name == "elkan":
-        # One group-bound set maintained per assignment pass.
-        assert fast.counters.bound_groups >= fast.counters.assign_calls
+    # One group-bound set maintained per assignment pass.
+    assert fast.counters.bound_groups >= fast.counters.assign_calls
 
 
 def test_blas_counters_record_gemm_and_refines():
@@ -314,7 +310,7 @@ def test_blas_counters_record_gemm_and_refines():
     centers = rng.uniform(-50, 50, size=(10, 4))
     pts = np.vstack([c + rng.normal(scale=0.4, size=(300, 4)) for c in centers])
     seeds = pts[rng.choice(pts.shape[0], 10, replace=False)]
-    result = lloyd(pts, seeds, kernel="blas", exact=False)
+    result = lloyd(pts, seeds, kernel="blas")
     counters = result.counters
     assert counters.kernel == "blas"
     assert counters.gemm_calls > 0
@@ -330,6 +326,7 @@ def test_blas_counters_record_gemm_and_refines():
 
 
 def test_counters_dict_roundtrip_and_merge():
+    # "hamerly" is a retired kernel: the name is a label, never resolved.
     a = KernelCounters("hamerly", 100, 50, 10, 2, 0.5)
     b = KernelCounters.from_dict(a.as_dict())
     assert b == a
@@ -350,6 +347,15 @@ def test_counters_dict_roundtrip_and_merge():
     assert merge_counter_dicts({"x": 1}, None) == {"x": 1}
 
 
+def test_counters_from_dict_keeps_unknown_kernel_name_verbatim():
+    """Old journals carry retired kernel names; reading must not resolve."""
+    payload = KernelCounters("elkan", 7, 3).as_dict()
+    payload["kernel"] = "hamerly"
+    counters = KernelCounters.from_dict(payload)
+    assert counters.kernel == "hamerly"
+    assert counters.as_dict() == payload
+
+
 def test_counters_dict_carries_new_fields():
     a = KernelCounters("blas", gemm_calls=7, refine_rows=13, bound_groups=5)
     payload = a.as_dict()
@@ -365,117 +371,76 @@ def test_counters_dict_carries_new_fields():
 
 
 # ---------------------------------------------------------------------------
-# Selection: resolve_kernel, the environment knobs, and the exact gate
+# Selection: one knob — the kernel's name (argument or environment)
 # ---------------------------------------------------------------------------
 
 
 def test_available_kernels_lists_all_four():
-    assert available_kernels() == ("blas", "dense", "elkan", "hamerly")
+    # (Historical test id, pinned by the tier-1 floor list: three today.)
+    assert available_kernels() == ("blas", "dense", "elkan")
 
 
 def test_resolve_kernel_precedence(monkeypatch):
     monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-    monkeypatch.delenv(EXACT_ENV_VAR, raising=False)
     assert isinstance(resolve_kernel(None), DenseKernel)
-    assert isinstance(resolve_kernel("hamerly"), HamerlyKernel)
+    assert isinstance(resolve_kernel("elkan"), ElkanKernel)
     monkeypatch.setenv(KERNEL_ENV_VAR, "elkan")
     assert isinstance(resolve_kernel(None), ElkanKernel)
     # Explicit argument beats the environment.
     assert isinstance(resolve_kernel("dense"), DenseKernel)
     # Instances pass through untouched.
-    instance = HamerlyKernel()
+    instance = ElkanKernel()
     assert resolve_kernel(instance) is instance
     monkeypatch.setenv(KERNEL_ENV_VAR, "")
     assert isinstance(resolve_kernel(None), DenseKernel)
 
 
 def test_resolve_kernel_rejects_unknown(monkeypatch):
+    """Unknown and retired names alike: one error naming value and choices."""
     monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-    with pytest.raises(ValueError, match="unknown k-means kernel"):
-        resolve_kernel("fancy")
+    for name in ("fancy", "hamerly", "tiled"):
+        with pytest.raises(ValueError, match="unknown k-means kernel") as info:
+            resolve_kernel(name)
+        message = str(info.value)
+        assert repr(name) in message
+        assert "blas, dense, elkan" in message
+        assert KERNEL_ENV_VAR not in message
 
 
 def test_resolve_kernel_names_env_var_for_bad_env_value(monkeypatch):
     """A bad REPRO_KMEANS_KERNEL value must be blamed on the env var."""
-    monkeypatch.setenv(KERNEL_ENV_VAR, "fancy")
-    with pytest.raises(ValueError) as excinfo:
-        resolve_kernel(None)
-    message = str(excinfo.value)
-    assert KERNEL_ENV_VAR in message
-    assert "'fancy'" in message
-    for name in available_kernels():
-        assert name in message
+    for name in ("fancy", "hamerly"):
+        monkeypatch.setenv(KERNEL_ENV_VAR, name)
+        with pytest.raises(ValueError) as excinfo:
+            resolve_kernel(None)
+        message = str(excinfo.value)
+        assert KERNEL_ENV_VAR in message
+        assert repr(name) in message
+        assert "blas, dense, elkan" in message
 
 
-def test_exact_gate_blocks_blas_by_default(monkeypatch):
-    monkeypatch.delenv(EXACT_ENV_VAR, raising=False)
-    with pytest.raises(ValueError, match="bit-identity"):
-        resolve_kernel("blas")
-    with pytest.raises(ValueError, match="bit-identity"):
-        resolve_kernel(BlasKernel())
-    # The explicit waiver admits the tier.
-    assert isinstance(resolve_kernel("blas", exact=False), BlasKernel)
+def test_naming_blas_is_the_whole_opt_in(monkeypatch):
+    """No second switch: the name selects it, and nothing else reads one."""
+    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
+    # The retired waiver variable is not consulted, whatever it holds.
+    monkeypatch.setenv("REPRO_KMEANS_EXACT", "maybe")
+    assert isinstance(resolve_kernel(None), DenseKernel)
+    kernel = resolve_kernel("blas")
+    assert isinstance(kernel, BlasKernel) and not kernel.exact
     instance = BlasKernel()
-    assert resolve_kernel(instance, exact=False) is instance
-
-
-def test_exact_env_var_waives_and_rejects_garbage(monkeypatch):
-    monkeypatch.setenv(EXACT_ENV_VAR, "0")
-    assert isinstance(resolve_kernel("blas"), BlasKernel)
-    monkeypatch.setenv(EXACT_ENV_VAR, "false")
-    assert isinstance(resolve_kernel("blas"), BlasKernel)
-    monkeypatch.setenv(EXACT_ENV_VAR, "1")
-    with pytest.raises(ValueError, match="bit-identity"):
-        resolve_kernel("blas")
-    monkeypatch.setenv(EXACT_ENV_VAR, "maybe")
-    with pytest.raises(ValueError, match=EXACT_ENV_VAR):
-        resolve_kernel("blas")
-    # An explicit argument beats the environment.
-    monkeypatch.setenv(EXACT_ENV_VAR, "1")
-    assert isinstance(resolve_kernel("blas", exact=False), BlasKernel)
-
-
-def test_tiled_alias_maps_to_blas_with_one_deprecation_warning(monkeypatch):
-    """Regression pin for the deprecate-and-alias satellite."""
-    monkeypatch.delenv(EXACT_ENV_VAR, raising=False)
-    monkeypatch.setattr(kernels_module, "_tiled_alias_warned", False)
-    with pytest.warns(DeprecationWarning, match="tiled"):
-        kernel = resolve_kernel("tiled", exact=False)
-    assert isinstance(kernel, BlasKernel)
-    # Warn once per process, not per call.
-    with warnings_none():
-        again = resolve_kernel("tiled", exact=False)
-    assert isinstance(again, BlasKernel)
-    # The alias lands on the exact=False tier, so the gate still applies.
-    with pytest.raises(ValueError, match="bit-identity"):
-        resolve_kernel("tiled")
-
-
-class warnings_none:
-    """Context asserting no warnings are emitted inside the block."""
-
-    def __enter__(self):
-        import warnings as _warnings
-
-        self._catcher = _warnings.catch_warnings(record=True)
-        self._records = self._catcher.__enter__()
-        _warnings.simplefilter("always")
-        return self._records
-
-    def __exit__(self, exc_type, exc, tb):
-        self._catcher.__exit__(exc_type, exc, tb)
-        if exc_type is None:
-            assert not self._records, [str(r.message) for r in self._records]
-        return False
+    assert resolve_kernel(instance) is instance
+    monkeypatch.setenv(KERNEL_ENV_VAR, "blas")
+    assert isinstance(resolve_kernel(None), BlasKernel)
+    assert resolve_kernel("dense").exact and resolve_kernel("elkan").exact
 
 
 def test_env_knob_drives_lloyd(monkeypatch):
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(120, 3))
     seeds = pts[:5]
-    monkeypatch.setenv(KERNEL_ENV_VAR, "hamerly")
+    monkeypatch.setenv(KERNEL_ENV_VAR, "elkan")
     via_env = lloyd(pts, seeds)
-    assert via_env.kernel == "hamerly"
+    assert via_env.kernel == "elkan"
     monkeypatch.delenv(KERNEL_ENV_VAR)
     ref = lloyd(pts, seeds)
     assert ref.kernel == "dense"

@@ -180,7 +180,7 @@ class TestDtypeAndLayoutHandling:
         seeds = strided[:6]
         results = {
             name: lloyd(strided, seeds, kernel=name)
-            for name in ("dense", "hamerly", "elkan")
+            for name in ("dense", "elkan")
         }
         ref = results["dense"]
         assert ref.centroids.dtype == np.float64

@@ -9,6 +9,7 @@ from repro.core.model import ClusterModel
 from repro.serve.registry import ModelRegistry, ServeError, UnknownCellError
 from repro.stream.checkpoint import JOURNAL_FILENAME, JournalWriter, read_journal
 from repro.stream.query import Query
+from tests.conftest import assert_within_blas_tolerance
 
 
 @pytest.fixture
@@ -164,6 +165,31 @@ class TestQueries:
                 result.centroids, model.centroids[expected]
             )
             assert result.model_version == len(chunks)
+
+    def test_kernel_name_alone_selects_the_tier(self, tmp_path, chunks, rng):
+        """elkan keeps the bits; blas (folds *and* assigns) stays close."""
+        queries = rng.normal(size=(40, 3))
+
+        def serve(kernel):
+            with ModelRegistry(
+                tmp_path / kernel, k=4, seed=9, kernel=kernel, fsync=False
+            ) as registry:
+                for chunk in chunks:
+                    registry.ingest("cell", chunk)
+                model = registry.summary("cell").model
+                return model, registry.assign("cell", queries)
+
+        (dense, dense_hits), (elkan, elkan_hits), (blas, blas_hits) = (
+            serve(kernel) for kernel in ("dense", "elkan", "blas")
+        )
+        np.testing.assert_array_equal(dense.centroids, elkan.centroids)
+        np.testing.assert_array_equal(
+            dense_hits.assignments, elkan_hits.assignments
+        )
+        assert_within_blas_tolerance(np.vstack(chunks), dense, blas)
+        np.testing.assert_allclose(
+            blas_hits.centroids, dense_hits.centroids, atol=1e-6
+        )
 
     def test_window_covers_trailing_chunks(self, tmp_path, chunks):
         with ModelRegistry(tmp_path / "run", k=4, fsync=False) as registry:

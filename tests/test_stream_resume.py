@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.data.gridio import write_bucket_dir
 from repro.stream.checkpoint import (
     JOURNAL_FILENAME,
     CheckpointError,
+    JournalWriter,
     ManifestMismatchError,
     read_journal,
 )
@@ -154,6 +156,46 @@ class TestCrashAndResume:
         assert checkpoint.resumed
         assert checkpoint.partitions_recomputed == 0
         assert_models_bit_identical(first.models, second.models)
+
+    def test_journal_naming_a_retired_kernel_still_replays(
+        self, bucket_dir, tmp_path
+    ):
+        """Recorded kernel names are labels: nothing resolves them.
+
+        Journals written before the ``hamerly`` kernel was deleted carry
+        its name in their partition counters; they must replay exactly
+        like any other journal.
+        """
+        finished = checkpointed_query(bucket_dir, tmp_path / "run").execute()
+        state = read_journal(tmp_path / "run" / JOURNAL_FILENAME)
+        messages = [
+            state.partitions[cell][index]
+            for cell in sorted(state.partitions)
+            for index in sorted(state.partitions[cell])
+        ]
+
+        def resume_from_copy(name, rename_every):
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            with JournalWriter(run_dir / JOURNAL_FILENAME, fsync=False) as out:
+                out.append_manifest(state.manifest)
+                for position, message in enumerate(messages):
+                    counters = dict(message.kernel_counters)
+                    if rename_every and position % rename_every == 0:
+                        counters["kernel"] = "hamerly"
+                    out.append_partition(
+                        replace(message, kernel_counters=counters)
+                    )
+            return checkpointed_query(bucket_dir, run_dir).execute()
+
+        control = resume_from_copy("verbatim", rename_every=0)
+        old = resume_from_copy("retired-name", rename_every=2)
+        assert_models_bit_identical(finished.models, old.models)
+        for run in (control, old):
+            stats = run.execution.metrics.checkpoint
+            assert stats.resumed and stats.cells_replayed == 0
+            assert stats.partitions_replayed == len(messages)
+            assert stats.partitions_recomputed == 0
 
     def test_existing_journal_without_resume_refused(
         self, bucket_dir, tmp_path

@@ -24,7 +24,7 @@ from repro.stream.shard import (
 )
 from repro.stream.supervision import RetryPolicy
 from repro.stream.tracing import metrics_to_dict
-from tests.conftest import make_blobs
+from tests.conftest import assert_within_blas_tolerance, make_blobs
 
 
 def small_cells(n_cells=6, n_points=200, dim=2):
@@ -89,6 +89,23 @@ class TestFaultFree:
         assert metrics.backend == "shards"
         assert len(metrics.shards) == 3
         assert not metrics.recoveries
+
+    def test_kernel_name_alone_selects_the_tier(self, cells, baseline):
+        """elkan keeps the bits; naming blas is the whole waiver."""
+        models, _ = baseline
+        elkan, _ = run_sharded(
+            cells, k=4, n_chunks=4, seed=42, config=fast_config(2),
+            kernel="elkan",
+        )
+        assert_models_bit_identical(models, elkan)
+        blas, _ = run_sharded(
+            cells, k=4, n_chunks=4, seed=42, config=fast_config(2),
+            kernel="blas",
+        )
+        for cell_id, points in cells.items():
+            assert_within_blas_tolerance(
+                points, models[cell_id], blas[cell_id]
+            )
 
     def test_worker_count_does_not_change_bits(self, cells, baseline):
         models, _ = baseline
@@ -510,7 +527,6 @@ class TestConfigValidation:
             criterion=None,
             max_iter=10,
             kernel=None,
-            exact=None,
             entropy=7,
             spawn_key=(),
             journal_path=str(tmp_path / "x.rjl"),
