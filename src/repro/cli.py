@@ -413,7 +413,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     with ClusterServer(
         registry,
         max_batch=args.max_batch,
-        max_delay_seconds=args.batch_delay,
         query_workers=args.query_workers,
     ) as server:
         if args.load_duration:
@@ -449,14 +448,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             line = line.strip()
             if not line:
                 continue
-            request = json.loads(line)
-            if request.get("op") == "shutdown":
-                print(json.dumps({"ok": True, "bye": True}), flush=True)
-                break
-            req_id = request.pop("id", None)
-            op = request.pop("op", None)
-            cell = request.pop("cell", None)
+            # Nothing a client sends may take the server down: a line
+            # that is not a JSON object, or an object the server refuses,
+            # is answered as that request's error and serving goes on.
+            req_id = None
             try:
+                request = json.loads(line)
+                if not isinstance(request, dict):
+                    raise ValueError("request must be a JSON object")
+                req_id = request.pop("id", None)
+                op = request.pop("op", None)
+                if op == "shutdown":
+                    print(json.dumps({"ok": True, "bye": True}), flush=True)
+                    break
+                cell = request.pop("cell", None)
                 result = server.submit(op, cell, **request).result()
                 response = {
                     "id": req_id,
@@ -701,14 +706,20 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip per-record journal fsync (faster ingest, less durable)",
     )
-    p_serve.add_argument("--max-batch", type=int, default=32)
     p_serve.add_argument(
-        "--batch-delay",
-        type=float,
-        default=0.002,
-        help="micro-batch collection window in seconds",
+        "--max-batch",
+        type=int,
+        default=32,
+        help="most queued requests a worker takes at once; requests "
+        "batch only while every query worker is busy, never on a timer",
     )
-    p_serve.add_argument("--query-workers", type=int, default=2)
+    p_serve.add_argument(
+        "--query-workers",
+        type=int,
+        default=2,
+        help="threads answering queries (ingest has its own lane; "
+        "0 answers everything in arrival order on one thread)",
+    )
     p_serve.add_argument(
         "--load-duration",
         type=float,

@@ -9,10 +9,11 @@ from the run's ``.rjl`` journal, folded forward chunk by chunk via
 :mod:`repro.core.incremental` — and a
 :class:`~repro.serve.server.ClusterServer` answers ``assign`` /
 ``nearest`` / ``summary`` / ``prefix`` / ``window`` queries over it at
-interactive latency with request micro-batching.
+interactive latency — dispatched as soon as a worker is free, batched
+only under backpressure — while ingest folds on its own lane.
 
-See ``docs/serving.md`` for the warm-start contract and the
-staleness/TTL semantics.
+See ``docs/serving.md`` for the warm-start contract, the ordering and
+visibility contract and the staleness/TTL semantics.
 """
 
 from repro.serve.batching import PendingRequest, RequestBatcher, group_requests

@@ -1,30 +1,25 @@
-"""Request micro-batching for the serving layer.
+"""Request batching for the serving layer: batch only under backpressure.
 
-Interactive serving under load wants neither one-lock-round-trip-per-
-request (throughput dies) nor unbounded queueing (latency dies).  The
-middle ground is the classic micro-batch: the first waiting request
-opens a window of ``max_delay_seconds``; every request arriving inside
-the window joins the batch, up to ``max_batch``; the batch then closes
-and is dispatched as one unit.  Requests for the same ``(op, cell)``
-are grouped so the dispatcher can answer them with one model read (an
-``assign`` group becomes a single pooled distance computation).
-
-Latency cost is bounded by ``max_delay_seconds`` (default 2 ms); an
-idle server dispatches a lone request after at most that delay.
+A batch is *whatever is queued when a worker comes back for more*:
+:meth:`RequestBatcher.next_batch` blocks while the queue is empty and
+otherwise takes everything already waiting, up to ``max_batch`` — it
+never holds a request back hoping for company.  On an idle server that
+is a batch of one, taken the moment it arrives; on a saturated one the
+workers are busy while requests pile up here, so the next batch is
+large and requests for the same ``(op, cell)`` pool into one model read
+(an ``assign`` group becomes a single distance computation).  Batch
+size therefore follows load; no timer sits on the request path.
 """
 
 from __future__ import annotations
 
-import queue
+import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 __all__ = ["PendingRequest", "RequestBatcher", "group_requests"]
-
-#: Sentinel enqueued by :meth:`RequestBatcher.close` to wake the
-#: dispatcher for shutdown.
-_CLOSE = object()
 
 
 @dataclass
@@ -48,75 +43,64 @@ class PendingRequest:
 
 
 class RequestBatcher:
-    """Thread-safe micro-batch collector.
+    """Thread-safe FIFO of pending requests, handed out in batches.
 
     Args:
-        max_batch: requests per batch before it closes early.
-        max_delay_seconds: window a batch stays open after its first
-            request arrives.
+        max_batch: most requests one :meth:`next_batch` call returns.
     """
 
-    def __init__(
-        self, max_batch: int = 32, max_delay_seconds: float = 0.002
-    ) -> None:
+    def __init__(self, max_batch: int = 32) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay_seconds < 0:
-            raise ValueError(
-                f"max_delay_seconds must be >= 0, got {max_delay_seconds}"
-            )
         self.max_batch = max_batch
-        self.max_delay_seconds = max_delay_seconds
-        self._queue: queue.Queue = queue.Queue()
+        self._pending: deque[PendingRequest] = deque()
+        # One lock covers the closed check and the append, so a request
+        # is either refused or queued ahead of the close — never lost.
+        self._ready = threading.Condition()
         self._closed = False
 
     def submit(
         self, op: str, cell: str | None = None, payload: dict | None = None
     ) -> PendingRequest:
         """Enqueue one request; returns it with an unresolved future."""
-        if self._closed:
-            raise RuntimeError("batcher is closed")
         request = PendingRequest(op=op, cell=cell, payload=payload or {})
-        self._queue.put(request)
+        with self._ready:
+            if self._closed:
+                raise RuntimeError("batcher is closed")
+            self._pending.append(request)
+            self._ready.notify()
         return request
 
-    def next_batch(self, timeout: float = 0.1) -> list[PendingRequest] | None:
-        """Collect the next micro-batch.
+    def next_batch(
+        self, timeout: float | None = None
+    ) -> list[PendingRequest] | None:
+        """Take what is queued, up to ``max_batch``, in arrival order.
 
-        Blocks up to ``timeout`` for the first request; once one
-        arrives, keeps collecting until ``max_batch`` requests are in
-        hand or ``max_delay_seconds`` has passed since the first.
+        Blocks (up to ``timeout``; forever when ``None``) only while the
+        queue is empty and open.
 
         Returns:
             The batch, ``None`` if nothing arrived within ``timeout``,
             or ``[]`` once the batcher has been closed and drained.
         """
-        try:
-            first = self._queue.get(timeout=timeout)
-        except queue.Empty:
-            return [] if self._closed else None
-        if first is _CLOSE:
-            return []
-        batch = [first]
-        deadline = time.perf_counter() + self.max_delay_seconds
-        while len(batch) < self.max_batch:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                break
-            try:
-                request = self._queue.get(timeout=remaining)
-            except queue.Empty:
-                break
-            if request is _CLOSE:
-                break
-            batch.append(request)
-        return batch
+        with self._ready:
+            arrived = self._ready.wait_for(
+                lambda: self._pending or self._closed, timeout
+            )
+            if not arrived:
+                return None
+            count = min(len(self._pending), self.max_batch)
+            return [self._pending.popleft() for _ in range(count)]
 
     def close(self) -> None:
-        """Stop accepting requests and wake the dispatcher (idempotent)."""
-        if not self._closed:
+        """Stop accepting requests and wake every consumer (idempotent).
+
+        Requests queued before the close are still handed out; the
+        empty batch comes only after them.
+        """
+        with self._ready:
             self._closed = True
-            self._queue.put(_CLOSE)
+            self._ready.notify_all()
 
     @property
     def closed(self) -> bool:
@@ -125,8 +109,8 @@ class RequestBatcher:
 
     @property
     def depth(self) -> int:
-        """Requests currently queued (approximate)."""
-        return self._queue.qsize()
+        """Requests currently queued."""
+        return len(self._pending)
 
 
 def group_requests(
@@ -135,8 +119,8 @@ def group_requests(
     """Group a batch by ``(op, cell)``, preserving first-arrival order.
 
     Within a group, requests keep their arrival order — the ingest
-    endpoint's per-cell ordering guarantee rests on this plus the
-    dispatcher applying ingest groups inline.
+    endpoint's per-cell ordering guarantee rests on this plus one
+    lane thread being the ingest queue's only consumer.
     """
     groups: dict[tuple[str, str | None], list[PendingRequest]] = {}
     order: list[tuple[str, str | None]] = []

@@ -167,12 +167,12 @@ class LoadGenerator:
     def _client(
         self,
         index: int,
-        deadline: float,
+        stop_at: float,
         latencies: dict[str, list[float]],
         counters: dict[str, int],
     ) -> None:
         rng = np.random.default_rng([self.seed, index])
-        while time.perf_counter() < deadline:
+        while time.perf_counter() < stop_at:
             op = self._ops[
                 int(rng.choice(len(self._ops), p=self._weights))
             ]
@@ -202,8 +202,9 @@ class LoadGenerator:
     ) -> LoadReport:
         """Fire load for ``duration_seconds`` and return the report.
 
-        Threads stop at the deadline after finishing their in-flight
-        request, so the measured duration can slightly exceed the ask.
+        Threads stop once the duration is up, after finishing their
+        in-flight request, so the measured duration can slightly exceed
+        the ask.
         """
         if duration_seconds <= 0:
             raise ValueError(
@@ -215,7 +216,7 @@ class LoadGenerator:
         per_counters: list[dict[str, int]] = []
         threads: list[threading.Thread] = []
         began = time.perf_counter()
-        deadline = began + duration_seconds
+        stop_at = began + duration_seconds
         for index in range(concurrency):
             latencies: dict[str, list[float]] = {op: [] for op in self._ops}
             counters = {"errors": 0}
@@ -223,7 +224,7 @@ class LoadGenerator:
             per_counters.append(counters)
             thread = threading.Thread(
                 target=self._client,
-                args=(index, deadline, latencies, counters),
+                args=(index, stop_at, latencies, counters),
                 name=f"loadgen-{index}",
                 daemon=True,
             )

@@ -206,7 +206,11 @@ class _CellEntry:
     tree: CoresetTree
     partitions: int
     updated_at: float
+    #: Held by readers for one answer and by a writer only to *publish*.
     lock: threading.RLock = field(default_factory=threading.RLock)
+    #: Serialises the cell's writers across the whole ingest (partial
+    #: k-means, journal append, fold), which runs outside ``lock``.
+    ingest_lock: threading.Lock = field(default_factory=threading.Lock)
     folds: int = 0
 
 
@@ -233,8 +237,11 @@ class ModelRegistry:
         fsync: fsync the journal after every record (default).  Turning
             it off trades durability for ingest latency — tests only.
 
-    Thread safety: per-cell locks serialise folds and reads of one cell;
-    distinct cells proceed concurrently.
+    Thread safety: distinct cells proceed concurrently.  Within a cell,
+    writers queue on ``ingest_lock`` for the whole ingest while readers
+    share the short ``lock`` with the writer's final publish only — a
+    read is answered from the last published version, never from a
+    half-applied one.
     """
 
     def __init__(
@@ -426,14 +433,29 @@ class ModelRegistry:
         and only then is the fold applied to the hot model and the
         coreset tree — crash between journal and fold re-derives the
         fold from the journal on restart.
+
+        All of that runs under the cell's ``ingest_lock`` only, against
+        the model read under it (no other writer can change it); the
+        cell's read ``lock`` is taken just to publish the result, so
+        readers of the cell wait for the publish, not for the k-means
+        and the fsync before it.  A chunk is checked *before* anything
+        is journaled, so a refused chunk leaves no hole behind.
         """
         pts = as_points(points)
         entry = self._entry(cell_id, create=True)
-        with entry.lock:
+        with entry.ingest_lock:
             index = entry.partitions
+            model = entry.model
+            k = self._fold_k(model)
+            if pts.shape[0] < k:
+                raise ServeError(
+                    f"ingest chunk for cell {cell_id!r} has {pts.shape[0]} "
+                    f"point(s), fewer than k={k}"
+                )
+            self._check_dim(cell_id, pts, model)
             fresh = partial_kmeans(
                 pts,
-                self._fold_k(entry.model),
+                k,
                 self.restarts,
                 _chunk_rng(self.seed, cell_id, index),
                 source=f"serve/P{index}",
@@ -450,24 +472,29 @@ class ModelRegistry:
                 partial_seconds=fresh.seconds,
             )
             self._writer().append_partition(message)
-            entry.model = fold_summary(
-                entry.model,
+            folded = fold_summary(
+                model,
                 fresh.summary,
-                k=self._fold_k(entry.model),
+                k=k,
                 criterion=self.criterion,
                 max_iter=self.max_iter,
                 kernel=self.kernel,
             )
-            entry.tree.offer(message)
-            entry.partitions = index + 1
-            entry.folds += 1
-            entry.updated_at = time.monotonic()
+            with entry.lock:
+                # The tree offer can fail (it journals merged nodes);
+                # the plain stores after it cannot, so a reader never
+                # sees a model without its partition count.
+                entry.tree.offer(message)
+                entry.model = folded
+                entry.partitions = index + 1
+                entry.folds += 1
+                entry.updated_at = time.monotonic()
             self.ingests += 1
             return IngestReceipt(
                 cell_id=cell_id,
                 partition=index,
                 n_points=pts.shape[0],
-                model_version=entry.partitions,
+                model_version=index + 1,
                 partial_seconds=fresh.seconds,
                 fold_seconds=time.perf_counter() - fold_began,
             )
@@ -483,12 +510,23 @@ class ModelRegistry:
             )
         return model
 
+    @staticmethod
+    def _check_dim(
+        cell_id: str, pts: np.ndarray, model: ClusterModel | None
+    ) -> None:
+        if model is not None and model.k > 0 and pts.shape[1] != model.dim:
+            raise ServeError(
+                f"points have dimension {pts.shape[1]}, cell {cell_id!r} "
+                f"serves dimension {model.dim}"
+            )
+
     def assign(self, cell_id: str, points: np.ndarray) -> AssignResult:
         """Nearest-centroid assignment of ``points`` under the hot model."""
         pts = as_points(points)
         entry = self._entry(cell_id)
         with entry.lock:
             model = self._served_model(entry)
+            self._check_dim(cell_id, pts, model)
             assignments, sq_dists = assign_to_nearest(
                 pts, model.centroids, kernel=self.kernel
             )

@@ -1,21 +1,34 @@
 """Async clustering server over a warm :class:`ModelRegistry`.
 
 :class:`ClusterServer` is the long-lived serving loop: client threads
-submit requests and receive futures; a dispatcher thread drains the
-:class:`~repro.serve.batching.RequestBatcher`, groups each micro-batch
-by ``(endpoint, cell)`` and answers groups with single registry calls —
-an ``assign`` group for one cell costs one pooled distance computation
+submit requests and receive futures; worker threads take whatever their
+:class:`~repro.serve.batching.RequestBatcher` has queued, group it by
+``(endpoint, cell)`` and answer each group with one registry call — an
+``assign`` group for one cell costs one pooled distance computation
 regardless of how many clients are in it.
 
-Ordering and consistency:
+Nothing sits between a request and a free worker:
 
-* **ingest** groups are applied inline on the dispatcher thread, in
-  arrival order — per-cell fold order (and therefore the journal, and
-  therefore the warm-restart bits) never depends on scheduling;
-* **query** groups run on a small thread pool, so slow queries for one
-  cell do not convoy cheap queries for another;
-* every response is computed under the cell's lock against a single
-  model version — a batch never observes a half-applied fold.
+* **queries** wait in one FIFO that ``query_workers`` threads serve.  An
+  idle worker takes a lone request the moment it arrives; while every
+  worker is busy, arrivals pile up, and the next worker to come free
+  takes them together (up to ``max_batch``).  Batching is what
+  backpressure leaves behind, not something a timer imposes.
+* **ingests** wait in a FIFO of their own, served by one lane thread in
+  arrival order — per cell, arrival order = fold order = journal order,
+  so the warm-restart bits never depend on scheduling — and never hold
+  up a read: the lane does the partial k-means, the journal append and
+  the fold outside the cell's read lock (see
+  :meth:`ModelRegistry.ingest`).
+
+With ``query_workers=0`` there is a single FIFO and a single thread (the
+dispatcher) that answers everything, ingest included, in arrival order.
+
+Visibility: every response is computed under the cell's lock against a
+single published model version (``model_version`` says which).  A read
+observes every ingest whose receipt had resolved when the read was
+submitted (read-your-writes); an ingest merely *submitted* earlier, by
+anyone, may or may not be visible yet.
 
 Endpoint latencies (measured enqueue-to-answer, the number a client
 feels) and ingest update lag flow into
@@ -27,7 +40,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 
 import numpy as np
 
@@ -49,19 +62,28 @@ ENDPOINTS = (
     "cells",
     "stats",
 )
+#: Endpoints that address the registry as a whole, not one cell.
+_REGISTRY_OPS = ("cells", "stats")
+
+
+def _required(request: PendingRequest, key: str):
+    """The request's ``key`` argument; a named error when it is absent."""
+    try:
+        return request.payload[key]
+    except KeyError:
+        raise ValueError(f"{request.op} needs {key!r}") from None
 
 
 class ClusterServer:
-    """Micro-batched request server over one :class:`ModelRegistry`.
+    """Request server over one :class:`ModelRegistry`.
 
     Args:
         registry: the warm model registry to serve.
-        max_batch: requests per micro-batch before early dispatch.
-        max_delay_seconds: micro-batch collection window (the bounded
-            latency cost of batching).
-        query_workers: threads answering query groups concurrently
-            (``0`` answers everything inline on the dispatcher thread —
-            fully deterministic scheduling, for tests).
+        max_batch: most queued requests one worker takes at once.
+        query_workers: threads answering queries concurrently, beside
+            the one ingest lane (``0`` answers everything, ingest
+            included, inline on a single dispatcher thread — fully
+            deterministic scheduling, for tests).
 
     Use as a context manager, or call :meth:`start` / :meth:`close`.
     """
@@ -70,7 +92,6 @@ class ClusterServer:
         self,
         registry: ModelRegistry,
         max_batch: int = 32,
-        max_delay_seconds: float = 0.002,
         query_workers: int = 2,
     ) -> None:
         if query_workers < 0:
@@ -78,44 +99,68 @@ class ClusterServer:
                 f"query_workers must be >= 0, got {query_workers}"
             )
         self.registry = registry
-        self.metrics = ServingMetrics()
-        self._batcher = RequestBatcher(
-            max_batch=max_batch, max_delay_seconds=max_delay_seconds
+        self.metrics = ServingMetrics(queue_probe=self._queue_state)
+        self._queries = RequestBatcher(max_batch=max_batch)
+        # Inline mode keeps one FIFO so that reads and ingests are
+        # answered in the order they arrived.
+        self._ingests = (
+            RequestBatcher(max_batch=max_batch)
+            if query_workers
+            else self._queries
         )
         self._query_workers = query_workers
-        self._pool: ThreadPoolExecutor | None = None
-        self._dispatcher: threading.Thread | None = None
+        self._threads: list[threading.Thread] = []
+        self._in_flight = 0
+        self._in_flight_lock = threading.Lock()
         self._started = False
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "ClusterServer":
-        """Start the dispatcher (idempotent)."""
+        """Start the worker threads (idempotent)."""
         if self._started:
             return self
         self._started = True
         if self._query_workers:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._query_workers,
-                thread_name_prefix="serve-query",
+            lanes = [
+                (f"serve-query-{index}", self._queries)
+                for index in range(self._query_workers)
+            ]
+            lanes.append(("serve-ingest", self._ingests))
+        else:
+            lanes = [("serve-dispatch", self._queries)]
+        for name, batcher in lanes:
+            thread = threading.Thread(
+                target=self._serve_loop,
+                args=(batcher,),
+                name=name,
+                daemon=True,
             )
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="serve-dispatch", daemon=True
-        )
-        self._dispatcher.start()
+            thread.start()
+            self._threads.append(thread)
         return self
 
     def close(self) -> None:
-        """Drain in-flight requests, stop threads, close the registry."""
+        """Answer everything accepted, stop threads, close the registry.
+
+        Intake stops first; the workers and the ingest lane then drain
+        what was accepted and exit.  A request still queued after that
+        (its thread died) is failed rather than left hanging.
+        """
         if self._closed:
             return
         self._closed = True
-        self._batcher.close()
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout=30.0)
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
+        self._queries.close()
+        self._ingests.close()
+        for thread in self._threads:
+            thread.join()
+        for batcher in (self._queries, self._ingests):
+            while stranded := batcher.next_batch():
+                for request in stranded:
+                    request.future.set_exception(
+                        RuntimeError("server closed")
+                    )
         self.registry.close()
 
     def __enter__(self) -> "ClusterServer":
@@ -136,7 +181,14 @@ class ClusterServer:
             raise ValueError(
                 f"unknown endpoint {op!r}; valid: {', '.join(ENDPOINTS)}"
             )
-        return self._batcher.submit(op, cell, payload).future
+        if op not in _REGISTRY_OPS and not isinstance(cell, str):
+            raise ValueError(f"{op} needs a cell id (a string), got {cell!r}")
+        batcher = self._ingests if op == "ingest" else self._queries
+        try:
+            return batcher.submit(op, cell, payload).future
+        except RuntimeError:
+            # close() won the race after the check above.
+            raise RuntimeError("server is not running") from None
 
     # Synchronous conveniences: submit + wait.
 
@@ -173,28 +225,27 @@ class ClusterServer:
         """Resident cells."""
         return self.submit("cells").result()
 
-    # -- dispatch ------------------------------------------------------------
+    # -- serving -------------------------------------------------------------
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            batch = self._batcher.next_batch(timeout=0.05)
-            if batch is None:
-                continue
-            if not batch:
-                return
-            try:
-                for (op, cell), group in group_requests(batch):
-                    self.metrics.record_batch(op, len(group))
-                    if op == "ingest" or self._pool is None:
-                        self._run_group(op, cell, group)
-                    else:
-                        self._pool.submit(self._run_group, op, cell, group)
-            except BaseException as exc:  # pragma: no cover - defensive
-                # The dispatcher must never die with futures in hand:
-                # a hung client is strictly worse than a failed request.
-                for request in batch:
-                    if not request.future.done():
-                        request.future.set_exception(exc)
+    def _serve_loop(self, batcher: RequestBatcher) -> None:
+        while batch := batcher.next_batch():
+            for (op, cell), group in group_requests(batch):
+                self.metrics.record_batch(op, len(group))
+                with self._in_flight_lock:
+                    self._in_flight += 1
+                try:
+                    self._run_group(op, cell, group)
+                finally:
+                    with self._in_flight_lock:
+                        self._in_flight -= 1
+
+    def _queue_state(self) -> dict[str, int]:
+        inline = self._ingests is self._queries
+        return {
+            "query_depth": self._queries.depth,
+            "ingest_backlog": 0 if inline else self._ingests.depth,
+            "in_flight_groups": self._in_flight,
+        }
 
     def _run_group(
         self, op: str, cell: str | None, group: list[PendingRequest]
@@ -234,8 +285,7 @@ class ClusterServer:
         registry = self.registry
         op, cell, payload = request.op, request.cell, request.payload
         if op in ("assign", "nearest"):
-            points = np.asarray(payload["points"], dtype=np.float64)
-            result = registry.assign(cell, points)
+            result = registry.assign(cell, _required(request, "points"))
             return result, result.assignments.shape[0]
         if op == "summary":
             return registry.summary(cell)
@@ -243,11 +293,10 @@ class ClusterServer:
             return registry.prefix(cell, upto=payload.get("upto"))
         if op == "window":
             return registry.window(
-                cell, payload["last_n"], upto=payload.get("upto")
+                cell, _required(request, "last_n"), upto=payload.get("upto")
             )
         if op == "ingest":
-            points = np.asarray(payload["points"], dtype=np.float64)
-            receipt = registry.ingest(cell, points)
+            receipt = registry.ingest(cell, _required(request, "points"))
             self.metrics.record_update_lag(
                 time.perf_counter() - request.enqueued_at,
                 items=receipt.n_points,
@@ -268,7 +317,7 @@ class ClusterServer:
         arrays = []
         try:
             for request in group:
-                arrays.append(as_points(request.payload["points"]))
+                arrays.append(as_points(_required(request, "points")))
             if len({a.shape[1] for a in arrays}) != 1:
                 raise ValueError("mixed dimensionality in assign batch")
         except Exception:

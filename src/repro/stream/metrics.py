@@ -12,6 +12,7 @@ import math
 import threading
 import time
 from collections import deque
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -224,7 +225,8 @@ class EndpointStats:
         name: endpoint name (``"assign"``, ``"summary"``, ...).
         requests: requests answered (errors included).
         items: work units processed (points assigned, chunks folded, ...).
-        batches: micro-batches this endpoint's requests were served in.
+        batches: ``(endpoint, cell)`` groups this endpoint's requests were
+            served in.
         errors: requests that raised instead of answering.
         total_seconds: summed request latency (enqueue to answer).
         max_seconds: worst single-request latency observed.
@@ -283,20 +285,40 @@ class EndpointStats:
         }
 
 
+def _size_range(bound: int) -> str:
+    """Group sizes counted under the power of two ``bound``: ``"1"``,
+    ``"2"``, ``"3-4"``, ``"5-8"``, ..."""
+    return str(bound) if bound <= 2 else f"{bound // 2 + 1}-{bound}"
+
+
 class ServingMetrics:
     """Per-endpoint accounting for one long-lived serving process.
 
     Thread-safe: server worker threads record concurrently.  Alongside
     the per-endpoint latency counters it tracks **update lag** — the
     time from an ingest request's arrival to its fold being applied to
-    the hot model — the serving layer's freshness metric.
+    the hot model — the serving layer's freshness metric — and, so that
+    "did this request queue, pool or compute" is answerable from
+    ``stats`` alone, the sizes of the groups requests were answered in
+    plus the server's live queue depths.
+
+    Args:
+        queue_probe: returns the server's current queue depths by name
+            (sampled at :meth:`snapshot` time; the server owns the
+            queues, this only reports them).
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self, queue_probe: Callable[[], dict[str, int]] | None = None
+    ) -> None:
         self.started_at = time.perf_counter()
         self.endpoints: dict[str, EndpointStats] = {}
         #: Ingest freshness: enqueue-to-model-applied latency.
         self.update_lag = EndpointStats("update-lag")
+        #: Dispatched ``(endpoint, cell)`` groups by size, keyed by the
+        #: power of two that bounds the size from above.
+        self.batch_sizes: dict[int, int] = {}
+        self._queue_probe = queue_probe
         self._lock = threading.Lock()
 
     def endpoint(self, name: str) -> EndpointStats:
@@ -318,10 +340,12 @@ class ServingMetrics:
             stats.record(seconds, items=items)
 
     def record_batch(self, name: str, size: int) -> None:
-        """Record one micro-batch dispatched for an endpoint."""
+        """Record one group of ``size`` requests dispatched for an endpoint."""
         stats = self.endpoint(name)
+        bound = 1 << (size - 1).bit_length()
         with self._lock:
             stats.batches += 1
+            self.batch_sizes[bound] = self.batch_sizes.get(bound, 0) + 1
 
     def record_update_lag(self, seconds: float, items: int = 1) -> None:
         """Record one applied ingest's enqueue-to-applied lag."""
@@ -355,6 +379,10 @@ class ServingMetrics:
             }
             lag = self.update_lag.snapshot()
             total = sum(stats.requests for stats in self.endpoints.values())
+            batch_sizes = {
+                _size_range(bound): count
+                for bound, count in sorted(self.batch_sizes.items())
+            }
         elapsed = self.elapsed_seconds
         return {
             "elapsed_seconds": elapsed,
@@ -362,6 +390,8 @@ class ServingMetrics:
             "qps": (total / elapsed) if elapsed > 0.0 else 0.0,
             "endpoints": endpoints,
             "update_lag": lag,
+            "batch_sizes": batch_sizes,
+            "queues": self._queue_probe() if self._queue_probe else {},
         }
 
     def summary_lines(self) -> list[str]:

@@ -1,14 +1,13 @@
-"""Tests for the micro-batched serving loop (``repro.serve.server``)."""
+"""Tests for the serving loop (``repro.serve.server``) and its batcher."""
 
 from __future__ import annotations
 
 import threading
-import time
 
 import numpy as np
 import pytest
 
-from repro.serve.batching import RequestBatcher, group_requests
+from repro.serve.batching import PendingRequest, RequestBatcher, group_requests
 from repro.serve.loadgen import LoadGenerator
 from repro.serve.registry import ModelRegistry, UnknownCellError
 from repro.serve.server import ClusterServer
@@ -25,13 +24,23 @@ def server(tmp_path, rng):
 
 class TestBatcher:
     def test_collects_up_to_max_batch(self):
-        batcher = RequestBatcher(max_batch=3, max_delay_seconds=0.5)
+        """A batch is what is queued, capped at ``max_batch`` — in order."""
+        batcher = RequestBatcher(max_batch=3)
         for index in range(5):
             batcher.submit("assign", "cell", {"i": index})
-        first = batcher.next_batch(timeout=0.1)
+        assert batcher.depth == 5
+        first = batcher.next_batch()
         assert [r.payload["i"] for r in first] == [0, 1, 2]
-        second = batcher.next_batch(timeout=0.1)
+        second = batcher.next_batch()
         assert [r.payload["i"] for r in second] == [3, 4]
+
+    def test_lone_request_is_handed_over_at_once(self):
+        """No timeout is given: were the batcher to wait for company,
+        this call would block forever."""
+        batcher = RequestBatcher(max_batch=32)
+        request = batcher.submit("summary", "cell")
+        assert batcher.next_batch() == [request]
+        assert batcher.depth == 0
 
     def test_idle_timeout_returns_none(self):
         batcher = RequestBatcher()
@@ -39,13 +48,48 @@ class TestBatcher:
 
     def test_close_drains_to_empty_batch(self):
         batcher = RequestBatcher()
+        queued = batcher.submit("assign", "cell")
         batcher.close()
-        assert batcher.next_batch(timeout=0.1) == []
+        batcher.close()  # idempotent
+        assert batcher.closed
         with pytest.raises(RuntimeError, match="closed"):
             batcher.submit("assign", "cell")
+        # What was accepted before the close is still handed out.
+        assert batcher.next_batch() == [queued]
+        assert batcher.next_batch() == []
+        assert batcher.next_batch() == []
+
+    def test_submit_racing_close_is_never_lost(self):
+        """A submit that got past the closed check while ``close()`` runs
+        must come out of ``next_batch`` before the empty batch; queued
+        behind the close it would never be answered."""
+        batcher = RequestBatcher()
+        inside, release = threading.Event(), threading.Event()
+
+        class ParkedAppend(type(batcher._pending)):
+            def append(self, item):
+                inside.set()
+                assert release.wait(timeout=10)
+                super().append(item)
+
+        batcher._pending = ParkedAppend()
+        accepted = []
+        submitter = threading.Thread(
+            target=lambda: accepted.append(batcher.submit("summary", "cell"))
+        )
+        submitter.start()
+        assert inside.wait(timeout=10)  # past the check, not yet queued
+        closer = threading.Thread(target=batcher.close)
+        closer.start()
+        release.set()
+        for thread in (submitter, closer):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert batcher.next_batch() == accepted and len(accepted) == 1
+        assert batcher.next_batch() == []
 
     def test_grouping_preserves_arrival_order(self):
-        batcher = RequestBatcher(max_batch=6, max_delay_seconds=0.2)
+        batcher = RequestBatcher(max_batch=6)
         for op, cell in [
             ("assign", "a"),
             ("summary", "a"),
@@ -53,7 +97,7 @@ class TestBatcher:
             ("assign", "b"),
         ]:
             batcher.submit(op, cell)
-        groups = group_requests(batcher.next_batch(timeout=0.1))
+        groups = group_requests(batcher.next_batch())
         assert [key for key, _ in groups] == [
             ("assign", "a"),
             ("summary", "a"),
@@ -64,8 +108,6 @@ class TestBatcher:
     def test_validation(self):
         with pytest.raises(ValueError, match="max_batch"):
             RequestBatcher(max_batch=0)
-        with pytest.raises(ValueError, match="max_delay_seconds"):
-            RequestBatcher(max_delay_seconds=-1.0)
 
 
 class TestServer:
@@ -124,6 +166,14 @@ class TestServer:
         assert stats["ingests"] == 2
         assert stats["serving"]["endpoints"]["assign"]["requests"] >= 1
         assert stats["serving"]["qps"] > 0
+        # The queue is visible: this very request is the one group in
+        # flight, nothing waits, and every group so far was a lone one.
+        assert stats["serving"]["queues"] == {
+            "query_depth": 0,
+            "ingest_backlog": 0,
+            "in_flight_groups": 1,
+        }
+        assert stats["serving"]["batch_sizes"] == {"1": 4}
 
     def test_submit_after_close_raises(self, tmp_path, rng):
         registry = ModelRegistry(tmp_path / "r2", k=3, fsync=False)
@@ -132,6 +182,49 @@ class TestServer:
         srv.close()
         with pytest.raises(RuntimeError, match="not running"):
             srv.submit("summary", "a")
+
+    def test_close_answers_everything_accepted_and_joins_threads(
+        self, tmp_path, rng
+    ):
+        registry = ModelRegistry(tmp_path / "r5", k=3, fsync=False)
+        srv = ClusterServer(registry, query_workers=2).start()
+        srv.ingest("a", rng.normal(size=(50, 2)))
+        futures = [
+            srv.submit("ingest", "a", points=rng.normal(size=(30, 2)))
+            if index % 5 == 0
+            else srv.submit("assign", "a", points=rng.normal(size=(4, 2)))
+            for index in range(40)
+        ]
+        srv.close()
+        assert all(future.done() for future in futures)
+        assert [f.result().partition for f in futures[::5]] == list(range(1, 9))
+        assert not [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("serve-")
+        ]
+
+    def test_close_fails_a_request_no_worker_ever_took(self, tmp_path):
+        """However a request comes to be stranded in a queue (here: put
+        there after the workers have gone), ``close()`` fails it — a
+        hung client is strictly worse than a failed request."""
+        registry = ModelRegistry(tmp_path / "r6", k=3, fsync=False)
+        srv = ClusterServer(registry, query_workers=2).start()
+        srv._queries.close()
+        srv._ingests.close()
+        for thread in srv._threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        stranded = [
+            PendingRequest("summary", "a", {}),
+            PendingRequest("ingest", "a", {}),
+        ]
+        srv._queries._pending.append(stranded[0])
+        srv._ingests._pending.append(stranded[1])
+        srv.close()
+        for request in stranded:
+            with pytest.raises(RuntimeError, match="server closed"):
+                request.future.result(timeout=10)
 
     def test_inline_mode_serves_queries(self, tmp_path, rng):
         registry = ModelRegistry(tmp_path / "r3", k=3, fsync=False)
