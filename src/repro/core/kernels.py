@@ -9,6 +9,9 @@ defined here.
 
 * ``dense`` — the reference and the default: one full ``(n, k)``
   ``cdist`` per iteration, exactly the seed implementation's behaviour.
+  Large passes are split into row blocks scored on helper threads, one
+  per usable CPU beyond the caller's (:class:`DenseKernel`); the split
+  changes where the work runs, never a bit of its output.
 * ``elkan`` — a Yinyang-style group-bounds kernel: each point keeps one
   lower bound per *group* of ``≈ 8`` centroids, deflated by that
   group's own maximum drift, plus an Elkan-style inter-centroid filter;
@@ -63,7 +66,9 @@ order, hence bits); unchanged clusters reuse cached sums verbatim.
 from __future__ import annotations
 
 import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -79,6 +84,8 @@ __all__ = [
     "available_kernels",
     "resolve_kernel",
     "aggregate_weighted_sums",
+    "assign_helper_budget",
+    "set_assign_helper_budget",
     "blas_assign_to_nearest",
     "blas_mse_tolerance",
 ]
@@ -109,6 +116,69 @@ _BLAS_GUARD = 1e-5
 #: re-resolved with exact float64 rows (float32 score error is a small
 #: multiple of ``eps32 · (‖x‖² + ‖c‖²)``; 1e-5 exceeds it by ~2 orders).
 _BLAS_MARGIN = 1e-5
+
+#: A dense pass over at least this many (point, centroid) pairs is split
+#: into contiguous row blocks, one per granted helper thread plus the
+#: caller.  Measured break-even at k = 40, d = 6 on a 2-vCPU host: 1 000
+#: points (40 000 pairs) lose, 2 000 gain 1.1x, 4 000 1.45x, 25 000 1.4x.
+#: Every block keeps at least half this many pairs.
+_SPLIT_MIN_PAIRS = 100_000
+
+
+class _HelperBudget:
+    """Process-wide count of assignment helper threads that may run.
+
+    A pass try-acquires what it wants and never waits: concurrent
+    ``lloyd`` calls (thread clones, serving) share the CPUs instead of
+    oversubscribing them, and whoever finds the budget spent runs
+    serially.
+    """
+
+    def __init__(self, size: int) -> None:
+        self._lock = threading.Lock()
+        self.size = size
+        self._in_use = 0
+
+    def resize(self, size: int) -> None:
+        """Set the budget; slots held by running passes stay theirs."""
+        with self._lock:
+            self.size = max(0, size)
+
+    def try_acquire(self, want: int) -> int:
+        """Grant up to ``want`` helpers (possibly 0) without blocking."""
+        with self._lock:
+            granted = max(0, min(want, self.size - self._in_use))
+            self._in_use += granted
+            return granted
+
+    def release(self, count: int) -> None:
+        with self._lock:
+            self._in_use -= count
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
+#: One helper per usable CPU beyond the caller's own.
+_ASSIGN_HELPERS = _HelperBudget(_usable_cpus() - 1)
+
+
+def assign_helper_budget() -> int:
+    """Helper threads one dense assignment pass may add in this process."""
+    return _ASSIGN_HELPERS.size
+
+
+def set_assign_helper_budget(size: int) -> None:
+    """Resize this process's helper budget.
+
+    Worker processes of the ``processes`` and shard backends set it to 0
+    at bootstrap: the processes already are the parallelism.
+    """
+    _ASSIGN_HELPERS.resize(size)
 
 
 @dataclass
@@ -336,13 +406,16 @@ class LloydKernel:
             # (empty-cluster repair mutates centroids -> kernel.invalidate())
             sums = kernel.aggregate(weighted_points, assignments, k)
             kernel.notify_update(old_centroids, new_centroids)
+        kernel.finish()  # always, also when the run raises
 
     ``exact`` declares the tier: exact kernels are bit-identical to the
     dense reference; the others trade bit-identity for speed and are
     only ever selected by name.
 
-    Kernel instances are single-run and not thread-safe; ``resolve_kernel``
-    hands out a fresh instance per ``lloyd`` call.
+    ``lloyd`` calls :meth:`finish` in a ``finally``, so no helper thread a
+    run started outlives it.  Kernel instances are single-run and not
+    thread-safe; ``resolve_kernel`` hands out a fresh instance per
+    ``lloyd`` call.
     """
 
     name = "abstract"
@@ -401,13 +474,16 @@ class LloydKernel:
     ) -> float:
         """Weighted SSE of the last assignment pass.
 
-        The base implementation is the reference dot product over the
-        per-point squared distances; the ``blas`` tier overrides it with
-        an algebraic per-cluster form so pruned rows never need their
-        stored distance refreshed.  ``lloyd`` calls this after
-        :meth:`aggregate` each iteration and once after the final pass.
+        The base implementation is numpy's pairwise sum of the weighted
+        per-point squared distances — not a BLAS dot product, whose bits
+        change with the BLAS thread count and whose thread pool would
+        hold a core the assignment pass wants.  The ``blas`` tier
+        overrides it with an algebraic per-cluster form so pruned rows
+        never need their stored distance refreshed.  ``lloyd`` calls this
+        after :meth:`aggregate` each iteration and once after the final
+        pass.
         """
-        return float(np.dot(weights, sq_dists))
+        return float(np.multiply(weights, sq_dists).sum())
 
     def cluster_mass(
         self, weights: np.ndarray, assignments: np.ndarray, k: int
@@ -431,18 +507,82 @@ class LloydKernel:
     def invalidate(self) -> None:
         """Drop cached bounds (an empty-cluster repair teleported a centroid)."""
 
+    def finish(self) -> None:
+        """End the run: join any helper threads it started (idempotent)."""
+
+
+def _assign_rows(
+    points: np.ndarray,
+    centroids: np.ndarray,
+    lo: int,
+    hi: int,
+    assignments: np.ndarray,
+    sq_dists: np.ndarray,
+) -> None:
+    """Dense assignment of rows ``[lo, hi)``, written into their slices.
+
+    ``cdist`` evaluates pairs independently and ``argmin`` is per row, so
+    any split of the rows yields the bits of one full pass.
+    """
+    d2 = cdist(points[lo:hi], centroids, metric="sqeuclidean")
+    rows = assignments[lo:hi]
+    np.argmin(d2, axis=1, out=rows)
+    sq_dists[lo:hi] = d2[np.arange(hi - lo), rows]
+
 
 class DenseKernel(LloydKernel):
-    """The reference kernel: full ``(n, k)`` ``cdist`` every iteration."""
+    """The reference kernel: full ``(n, k)`` ``cdist`` every iteration.
+
+    A pass of at least ``_SPLIT_MIN_PAIRS`` pairs is split into
+    contiguous row blocks: the caller scores one, helper threads
+    (``lloyd-assign_N``, granted by the process-wide budget) the rest.
+    ``cdist`` releases the GIL, so the blocks run on separate cores.
+    The helpers belong to the run: started on its first split pass,
+    joined by :meth:`finish`.
+    """
 
     name = "dense"
 
+    def __init__(self) -> None:
+        self._helpers: ThreadPoolExecutor | None = None
+        super().__init__()
+
+    def finish(self) -> None:
+        if self._helpers is not None:
+            self._helpers.shutdown(wait=True)
+            self._helpers = None
+
     def _assign(self, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pts = self._points
-        d2 = cdist(pts, centroids, metric="sqeuclidean")
-        assignments = np.argmin(d2, axis=1)
-        sq_dists = d2[np.arange(pts.shape[0]), assignments]
-        self.counters.distance_evals_computed += pts.shape[0] * centroids.shape[0]
+        n, k = pts.shape[0], centroids.shape[0]
+        self.counters.distance_evals_computed += n * k
+        assignments = np.empty(n, dtype=np.intp)
+        sq_dists = np.empty(n, dtype=np.float64)
+        # Blocks of at least half the threshold, so the threshold is the
+        # smallest pass that splits in two.
+        granted = _ASSIGN_HELPERS.try_acquire(2 * n * k // _SPLIT_MIN_PAIRS - 1)
+        if not granted:
+            _assign_rows(pts, centroids, 0, n, assignments, sq_dists)
+            return assignments, sq_dists
+        edges = [(n * b) // (granted + 1) for b in range(granted + 2)]
+        futures = []
+        try:
+            if self._helpers is None:
+                self._helpers = ThreadPoolExecutor(
+                    max(granted, _ASSIGN_HELPERS.size),
+                    thread_name_prefix="lloyd-assign",
+                )
+            for lo, hi in zip(edges[1:-1], edges[2:]):
+                futures.append(self._helpers.submit(
+                    _assign_rows, pts, centroids, lo, hi, assignments, sq_dists
+                ))
+            _assign_rows(pts, centroids, 0, edges[1], assignments, sq_dists)
+            for future in futures:
+                future.result()
+        finally:
+            # Hand the slots back only once no block is still running.
+            wait(futures)
+            _ASSIGN_HELPERS.release(granted)
         return assignments, sq_dists
 
 
@@ -912,7 +1052,7 @@ class BlasKernel(_GroupBoundsKernel):
     def start(self, points: np.ndarray, weights: np.ndarray) -> None:
         super().start(points, weights)
         pnorm64 = np.einsum("ij,ij->i", points, points)
-        self._w2_total = float(np.dot(pnorm64, weights))
+        self._w2_total = float(np.multiply(pnorm64, weights).sum())
         self._paug, self._pnorm = _augment_points32(points)
         max_norm = float(self._pnorm.max()) if points.shape[0] else 0.0
         # Absolute slack for distance-space comparisons: float32 sqrt /
@@ -1175,7 +1315,7 @@ class BlasKernel(_GroupBoundsKernel):
             or self._assignments is None
             or self._agg_k != c.shape[0]
         ):
-            return float(np.dot(weights, sq_dists))
+            return float(np.multiply(weights, sq_dists).sum())
         self._flush_moves()
         k = c.shape[0]
         if self._mass is not None and self._mass_k == k:

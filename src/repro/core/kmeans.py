@@ -134,13 +134,30 @@ def lloyd(
     if k > n:
         raise ValueError(f"cannot fit k={k} clusters to n={n} points")
     wts = as_weights(weights, n)
-    total_mass = float(wts.sum())
     test = criterion if criterion is not None else MseDeltaCriterion()
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     backend = resolve_kernel(kernel)
     backend.start(pts, wts)
+    try:
+        return _iterate(backend, pts, wts, cents, test, max_iter, abandon_sse)
+    finally:
+        backend.finish()
+
+
+def _iterate(
+    backend: LloydKernel,
+    pts: np.ndarray,
+    wts: np.ndarray,
+    cents: np.ndarray,
+    test: ConvergenceCriterion,
+    max_iter: int,
+    abandon_sse: float | None,
+) -> KMeansResult:
+    """The Lloyd loop of :func:`lloyd` over a started kernel."""
+    k = cents.shape[0]
+    total_mass = float(wts.sum())
 
     # Hoisted out of the loop: the weighted points never change.
     weighted_pts = pts * wts[:, None]

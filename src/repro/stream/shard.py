@@ -71,6 +71,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from repro.core.convergence import ConvergenceCriterion
+from repro.core.kernels import set_assign_helper_budget
 from repro.core.kmeans import DEFAULT_MAX_ITER
 from repro.core.merge import merge_kmeans
 from repro.core.model import ClusterModel, as_points
@@ -469,7 +470,12 @@ def _shard_worker_main(
     indexed_specs: list[tuple[int, FaultSpec]],
     plan_seed: int,
 ) -> None:
-    """Worker process entry point: connect, heartbeat, serve cell tasks."""
+    """Worker process entry point: connect, heartbeat, serve cell tasks.
+
+    The worker's Lloyd passes stay on its own thread: the worker
+    processes already are the parallelism.
+    """
+    set_assign_helper_budget(0)
     if transport == "tcp":
         conn = connection.Client(endpoint, authkey=authkey)
     else:
