@@ -29,6 +29,10 @@ carry a recorded ``fastest_exact`` (parallel ``dense`` vs ``elkan``, as
 the pipeline runs them) and **no gate**: they are the measurement a
 run-time dense/elkan choice will be derived from, not a claim.
 
+Every kernel on every row also records ``peak_traced_mib``: the
+``tracemalloc`` peak of one further, untimed ``lloyd`` call (allocations
+made during the call; the points themselves are not counted).
+
 The ledger also records ``host_cpus``, the NumPy version and the
 detected BLAS implementation, plus the honest ``meaningful`` flag the
 other BENCH ledgers carry (speed ratios measured on a loaded or
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +111,7 @@ def _blas_backend() -> str:
 
 
 def _run_one(points, seeds, kernel, max_iter, rounds):
+    """Best wall of ``rounds`` runs, then one untimed run's traced peak."""
     budget = assign_helper_budget()
     if kernel == _REFERENCE:
         kernel = "dense"
@@ -117,9 +123,15 @@ def _run_one(points, seeds, kernel, max_iter, rounds):
             started = time.perf_counter()
             result = lloyd(points, seeds, max_iter=max_iter, kernel=kernel)
             best_wall = min(best_wall, time.perf_counter() - started)
+        tracemalloc.start()
+        try:
+            lloyd(points, seeds, max_iter=max_iter, kernel=kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     finally:
         set_assign_helper_budget(budget)
-    return result, best_wall
+    return result, best_wall, peak / 2**20
 
 
 def test_bench_kernel(benchmark):
@@ -134,18 +146,22 @@ def test_bench_kernel(benchmark):
 
         results = {}
         walls = {}
+        peaks = {}
         for kernel in _KERNELS:
             if kernel == "elkan" and config == _FLAGSHIP:
                 # The flagship exact-tier run is the benchmarked measurement.
-                result, wall = benchmark.pedantic(
+                result, wall, peak = benchmark.pedantic(
                     lambda: _run_one(points, seeds, "elkan", max_iter, rounds),
                     rounds=1,
                     iterations=1,
                 )
             else:
-                result, wall = _run_one(points, seeds, kernel, max_iter, rounds)
+                result, wall, peak = _run_one(
+                    points, seeds, kernel, max_iter, rounds
+                )
             results[kernel] = result
             walls[kernel] = wall
+            peaks[kernel] = peak
 
         dense = results[_REFERENCE]
         for exact in _EXACT_KERNELS:
@@ -183,6 +199,7 @@ def test_bench_kernel(benchmark):
                         if walls[kernel] > 0
                         else float("inf")
                     ),
+                    "peak_traced_mib": peaks[kernel],
                     "counters": results[kernel].counters.as_dict(),
                 }
                 for kernel in _KERNELS

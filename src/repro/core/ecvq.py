@@ -119,7 +119,7 @@ def ecvq(
         centroids[occupied] = sums[occupied] / mass[occupied, None]
 
         chosen_cost = cost[np.arange(pts.shape[0]), assignments]
-        objective = float(np.dot(wts, chosen_cost)) / total_mass
+        objective = float(np.multiply(wts, chosen_cost).sum()) / total_mass
         if 0.0 <= prev_objective - objective <= tol:
             break
         prev_objective = objective
@@ -131,7 +131,7 @@ def ecvq(
     mass = np.bincount(assignments, weights=wts, minlength=centroids.shape[0])
     d2 = pairwise_sq_distances(pts, centroids)
     sq = d2[np.arange(pts.shape[0]), assignments]
-    distortion = float(np.dot(wts, sq)) / total_mass
+    distortion = float(np.multiply(wts, sq).sum()) / total_mass
     used = mass > 0
     use_probs = mass[used] / total_mass
     rate = float(-(use_probs * np.log2(use_probs)).sum()) if used.any() else 0.0

@@ -7,11 +7,12 @@ defined here.
 
 **Exact kernels (bit-identical to each other):**
 
-* ``dense`` — the reference and the default: one full ``(n, k)``
-  ``cdist`` per iteration, exactly the seed implementation's behaviour.
-  Large passes are split into row blocks scored on helper threads, one
-  per usable CPU beyond the caller's (:class:`DenseKernel`); the split
-  changes where the work runs, never a bit of its output.
+* ``dense`` — the reference and the default: every (point, centroid)
+  distance by ``cdist`` per iteration, exactly the seed implementation's
+  behaviour, scored in row tiles of at most ``_TILE_BYTES``.  Large
+  passes are split into row blocks scored on helper threads, one per
+  usable CPU beyond the caller's (:class:`DenseKernel`); neither the
+  tiles nor the split change a bit of the output.
 * ``elkan`` — a Yinyang-style group-bounds kernel: each point keeps one
   lower bound per *group* of ``≈ 8`` centroids, deflated by that
   group's own maximum drift, plus an Elkan-style inter-centroid filter;
@@ -20,7 +21,7 @@ defined here.
 
 **Tolerance-close kernel:**
 
-* ``blas`` — a float32 GEMM kernel over cache-sized row blocks,
+* ``blas`` — a float32 GEMM kernel over ``_TILE_BYTES`` row blocks,
   restricted to the survivors of the same group bounds, with exact
   float64 refinement of ambiguous winners and an algebraic SSE
   (:class:`BlasKernel`; :func:`blas_mse_tolerance` documents the error
@@ -123,6 +124,19 @@ _BLAS_MARGIN = 1e-5
 #: points (40 000 pairs) lose, 2 000 gain 1.1x, 4 000 1.45x, 25 000 1.4x.
 #: Every block keeps at least half this many pairs.
 _SPLIT_MIN_PAIRS = 100_000
+
+#: Byte budget for one live score block, shared by every kernel: a pass
+#: scores at most this much of its (points × centroids) matrix at once,
+#: so its working set is the points, O(n) buffers and one tile per
+#: thread.  Tiles of 1 MiB (3 276 float64 rows at k = 40) measured
+#: within 3 % of 4 MiB tiles and of the untiled pass, for every kernel,
+#: at 4 000 to 50 000 points on a 2-vCPU host.
+_TILE_BYTES = 1 << 20
+
+
+def _tile_rows(k: int, itemsize: int = 8) -> int:
+    """Rows per tile so a ``(rows, k)`` block of ``itemsize``-byte scores fits."""
+    return max(1, _TILE_BYTES // (itemsize * max(1, k)))
 
 
 class _HelperBudget:
@@ -376,15 +390,6 @@ def _half_nearest_centroid(centroids: np.ndarray) -> np.ndarray:
     return 0.5 * cc.min(axis=1)
 
 
-#: blas tier: byte budget for one live float32 score block (~4 MiB).
-_TILE_BYTES = 4 << 20
-
-
-def _tile_rows(k: int) -> int:
-    """Rows per GEMM block so a ``(rows, k)`` float32 score block fits."""
-    return max(512, _TILE_BYTES // (4 * max(1, k)))
-
-
 def _augment_points32(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """float32 ``(x | 1)`` GEMM operand and float32 ``‖x‖²`` per row."""
     n, dim = points.shape
@@ -521,22 +526,29 @@ def _assign_rows(
 ) -> None:
     """Dense assignment of rows ``[lo, hi)``, written into their slices.
 
-    ``cdist`` evaluates pairs independently and ``argmin`` is per row, so
-    any split of the rows yields the bits of one full pass.
+    The rows are scored one ``_TILE_BYTES`` tile at a time.  ``cdist``
+    evaluates pairs independently and ``argmin`` is per row, so any split
+    of the rows — into helper blocks or tiles — yields the bits of one
+    full pass.
     """
-    d2 = cdist(points[lo:hi], centroids, metric="sqeuclidean")
-    rows = assignments[lo:hi]
-    np.argmin(d2, axis=1, out=rows)
-    sq_dists[lo:hi] = d2[np.arange(hi - lo), rows]
+    step = _tile_rows(centroids.shape[0])
+    for start in range(lo, hi, step):
+        stop = min(hi, start + step)
+        d2 = cdist(points[start:stop], centroids, metric="sqeuclidean")
+        rows = assignments[start:stop]
+        np.argmin(d2, axis=1, out=rows)
+        sq_dists[start:stop] = d2[np.arange(stop - start), rows]
 
 
 class DenseKernel(LloydKernel):
-    """The reference kernel: full ``(n, k)`` ``cdist`` every iteration.
+    """The reference kernel: every (point, centroid) pair, every iteration.
 
-    A pass of at least ``_SPLIT_MIN_PAIRS`` pairs is split into
-    contiguous row blocks: the caller scores one, helper threads
-    (``lloyd-assign_N``, granted by the process-wide budget) the rest.
-    ``cdist`` releases the GIL, so the blocks run on separate cores.
+    Each pass scores all ``n·k`` pairs with ``cdist``, one tile at a time
+    (:func:`_assign_rows`).  A pass of at least ``_SPLIT_MIN_PAIRS``
+    pairs is split into contiguous row blocks: the caller scores one,
+    helper threads (``lloyd-assign_N``, granted by the process-wide
+    budget) the rest.  ``cdist`` releases the GIL, so the blocks run on
+    separate cores.
     The helpers belong to the run: started on its first split pass,
     joined by :meth:`finish`.
     """
@@ -728,24 +740,27 @@ class ElkanKernel(_GroupBoundsKernel):
         pts = self._points
         assert pts is not None
         n, k = pts.shape[0], centroids.shape[0]
-        # Transposed (k, n) distance matrix: ``cdist`` evaluates each pair
-        # independently and symmetrically, so entries are bit-equal to the
-        # (n, k) orientation, and axis-0 reductions vectorise across
-        # points.
-        d2t = cdist(centroids, pts, metric="sqeuclidean")
-        sq_dists, assignments = _min_argmin_t(d2t)
-        ar = np.arange(n)
-
         n_groups = self._start_group_bounds(k)
-        if k >= 2:
-            # Mask the assigned entry so every group bound is a lower
-            # bound on the distance to the *other* centroids of the group.
-            d2t[assignments, ar] = np.inf
-            lower = np.sqrt(_group_min_t(d2t, self._gstarts))
-            lower *= 1.0 - _GUARD32
-            self._lower = lower.astype(np.float32)
-        else:
-            self._lower = np.full((1, n), np.inf, dtype=np.float32)
+        self._lower = np.full((n_groups, n), np.inf, dtype=np.float32)
+        assignments = np.empty(n, dtype=np.intp)
+        sq_dists = np.empty(n, dtype=np.float64)
+        step = _tile_rows(k)
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            # Transposed (k, m) tile: ``cdist`` evaluates each pair
+            # independently and symmetrically, so entries are bit-equal
+            # to the (n, k) orientation, and axis-0 reductions vectorise
+            # across points.
+            d2t = cdist(centroids, pts[lo:hi], metric="sqeuclidean")
+            sq_dists[lo:hi], assignments[lo:hi] = _min_argmin_t(d2t)
+            if k >= 2:
+                # Mask the assigned entry so every group bound is a lower
+                # bound on the distance to the *other* centroids of the
+                # group.
+                d2t[assignments[lo:hi], np.arange(hi - lo)] = np.inf
+                lower = np.sqrt(_group_min_t(d2t, self._gstarts))
+                lower *= 1.0 - _GUARD32
+                self._lower[:, lo:hi] = lower
 
         self._assignments = assignments
         self._sq_dists = sq_dists
@@ -862,16 +877,19 @@ class ElkanKernel(_GroupBoundsKernel):
         self.counters.distance_evals_skipped += max(n * k - computed, 0)
 
         if m:
-            rows_d2t = cdist(centroids, pts[survivors], metric="sqeuclidean")
-            row_sq, row_assign = _min_argmin_t(rows_d2t)
-            arm = np.arange(m)
             old_assign = assignments[survivors]
+            step = _tile_rows(k)
+            for lo in range(0, m, step):
+                rows = survivors[lo:lo + step]
+                rows_d2t = cdist(centroids, pts[rows], metric="sqeuclidean")
+                row_sq, row_assign = _min_argmin_t(rows_d2t)
+                assignments[rows] = row_assign
+                sq_dists[rows] = row_sq
+                if k >= 2:
+                    rows_d2t[row_assign, np.arange(rows.size)] = np.inf
+                    self._refresh_survivor_bounds(rows_d2t, rows)
+            row_assign = assignments[survivors]
             changed = row_assign != old_assign
-            assignments[survivors] = row_assign
-            sq_dists[survivors] = row_sq
-            if k >= 2:
-                rows_d2t[row_assign, arm] = np.inf
-                self._refresh_survivor_bounds(rows_d2t, survivors)
             if changed.any():
                 switched = survivors[changed]
                 # Exact incremental aggregation: remember which
@@ -993,7 +1011,7 @@ class BlasKernel(_GroupBoundsKernel):
     Per run the points are copied once to a C-contiguous float32 matrix
     augmented with a constant-1 column.  Per pass the centroids become a
     float32 ``(d+1, k)`` matrix whose columns hold ``-2·c`` with ``‖c‖²``
-    in the last row, so a single ``sgemm`` per cache-sized row block
+    in the last row, so a single ``sgemm`` per ``_TILE_BYTES`` row block
     yields scores ``‖c‖² − 2·x·c`` whose argmin equals the distance
     argmin (the omitted ``‖x‖²`` is constant per row).  The same group
     bounds as :class:`ElkanKernel` restrict the GEMM to bound-check
@@ -1089,7 +1107,7 @@ class BlasKernel(_GroupBoundsKernel):
         caug, cn_max = self._centroid_mats(centroids)
         out_assign = np.empty(count, dtype=np.intp)
         out_sq = np.empty(count, dtype=np.float64)
-        tile = _tile_rows(centroids.shape[0])
+        tile = _tile_rows(centroids.shape[0], itemsize=4)
         for lo in range(0, count, tile):
             self._score_rows(
                 lo, min(count, lo + tile), rows, centroids, caug, cn_max,
@@ -1426,7 +1444,7 @@ def blas_assign_to_nearest(
 
     assignments = np.empty(n, dtype=np.intp)
     sq_dists = np.empty(n, dtype=np.float64)
-    tile = _tile_rows(k)
+    tile = _tile_rows(k, itemsize=4)
     for lo in range(0, n, tile):
         hi = min(n, lo + tile)
         scores = paug[lo:hi] @ caug

@@ -138,10 +138,17 @@ def lloyd(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
+    # Hoisted out of the loop: the weighted points never change.  Unit
+    # weights leave every coordinate's bits as they are (x·1.0 == x), so
+    # the points serve as their own weighted copy.
+    weighted_pts = pts if weights is None else pts * wts[:, None]
+
     backend = resolve_kernel(kernel)
     backend.start(pts, wts)
     try:
-        return _iterate(backend, pts, wts, cents, test, max_iter, abandon_sse)
+        return _iterate(
+            backend, pts, wts, weighted_pts, cents, test, max_iter, abandon_sse
+        )
     finally:
         backend.finish()
 
@@ -150,6 +157,7 @@ def _iterate(
     backend: LloydKernel,
     pts: np.ndarray,
     wts: np.ndarray,
+    weighted_pts: np.ndarray,
     cents: np.ndarray,
     test: ConvergenceCriterion,
     max_iter: int,
@@ -158,9 +166,6 @@ def _iterate(
     """The Lloyd loop of :func:`lloyd` over a started kernel."""
     k = cents.shape[0]
     total_mass = float(wts.sum())
-
-    # Hoisted out of the loop: the weighted points never change.
-    weighted_pts = pts * wts[:, None]
 
     prev_sse = np.inf
     iterations = 0

@@ -12,6 +12,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from repro.core.kernels import (
+    _assign_rows,
+    blas_assign_to_nearest,
+    resolve_kernel,
+)
 from repro.core.model import as_points, as_weights
 
 __all__ = [
@@ -75,20 +80,21 @@ def assign_to_nearest(
             two centroids are within float32 noise of equidistant, and
             returned ``sq_dists`` are always exact float64 for the chosen
             centroid.  Every other value (``None``/exact kernel names)
-            uses the dense reference: bounds kernels have no advantage on
-            a one-shot assignment, so there is nothing to select.
+            uses the dense reference, the ``dense`` kernel's tiled pass:
+            bounds kernels have no advantage on a one-shot assignment, so
+            there is nothing to select.
     """
-    if kernel is not None:
-        # Validate through the central resolver so unknown names fail
-        # identically to the Lloyd path.
-        from repro.core.kernels import blas_assign_to_nearest, resolve_kernel
-
-        backend = resolve_kernel(kernel)
-        if not backend.exact:
-            return blas_assign_to_nearest(points, centroids)
-    d2 = pairwise_sq_distances(points, centroids)
-    assignments = np.argmin(d2, axis=1)
-    sq_dists = d2[np.arange(d2.shape[0]), assignments]
+    # Validate through the central resolver so unknown names fail
+    # identically to the Lloyd path.
+    if kernel is not None and not resolve_kernel(kernel).exact:
+        return blas_assign_to_nearest(points, centroids)
+    pts = _as_cdist_operand(points)
+    n = pts.shape[0]
+    assignments = np.empty(n, dtype=np.intp)
+    sq_dists = np.empty(n, dtype=np.float64)
+    _assign_rows(
+        pts, _as_cdist_operand(centroids), 0, n, assignments, sq_dists
+    )
     return assignments, sq_dists
 
 
@@ -100,13 +106,15 @@ def sse(
     """Weighted sum of squared distances to nearest centroids.
 
     This is the paper's error function ``E`` (serial) and ``E_pm`` (weighted,
-    partial/merge) depending on whether ``weights`` is supplied.
+    partial/merge) depending on whether ``weights`` is supplied.  The sum
+    is numpy's pairwise sum, not a BLAS dot, so its bits do not depend on
+    the BLAS thread count.
     """
     pts = as_points(points)
     cents = as_points(centroids)
     wts = as_weights(weights, pts.shape[0])
     __, sq = assign_to_nearest(pts, cents)
-    return float(np.dot(wts, sq))
+    return float(np.multiply(wts, sq).sum())
 
 
 def mse(

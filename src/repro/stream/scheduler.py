@@ -20,9 +20,14 @@ __all__ = ["ResourceManager", "DEFAULT_MEMORY_BUDGET"]
 DEFAULT_MEMORY_BUDGET = 64 * 1024 * 1024
 
 _FLOAT64_BYTES = 8
-#: Working-set multiplier: Lloyd needs the points, the (n, k) distance
-#: matrix rows, and assignment/weight buffers; 3x the raw point bytes is a
-#: safe envelope for the d and k used in the paper's workloads.
+#: Working-set multiplier: a Lloyd pass holds the points, O(n) buffers
+#: (weights, assignments, per-point distances: about the points' bytes
+#: again at d = 6) and, per assigning thread, one score tile of at most
+#: ``_TILE_BYTES`` (1 MiB) — the whole (n, k) distance matrix only when
+#: it fits in one tile.  3x the point bytes therefore covers a partition
+#: whose points outweigh its tiles (≳ 22 000 points per thread at d = 6;
+#: traced at n = 100 000, k = 40 on two threads: 1.7x on top of the
+#: points).  A smaller partition overshoots by at most its tiles.
 _WORKING_SET_FACTOR = 3.0
 
 

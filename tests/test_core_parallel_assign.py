@@ -26,7 +26,6 @@ from repro.core.kernels import (
     DenseKernel,
     _SPLIT_MIN_PAIRS,
     assign_helper_budget,
-    set_assign_helper_budget,
 )
 from repro.core.kmeans import lloyd
 from repro.data.generator import generate_cell_points
@@ -41,28 +40,6 @@ THRESHOLD_N = _SPLIT_MIN_PAIRS // K
 #: Generous bound on any wait for another thread; never reached when the
 #: code is right, it only turns a deadlock into a failure.
 WAIT_S = 60.0
-
-
-@pytest.fixture
-def budget():
-    """Set the helper budget for one test, restoring it afterwards."""
-    before = assign_helper_budget()
-    yield set_assign_helper_budget
-    set_assign_helper_budget(before)
-
-
-@pytest.fixture
-def block_threads(monkeypatch):
-    """Names of the threads that scored each row block, in call order."""
-    names: list[str] = []
-    real = kernels._assign_rows
-
-    def recording(*args):
-        names.append(threading.current_thread().name)
-        real(*args)
-
-    monkeypatch.setattr(kernels, "_assign_rows", recording)
-    return names
 
 
 def assign_threads() -> list[str]:
@@ -315,14 +292,18 @@ _PROBE = """
 import hashlib, json
 import numpy as np
 from repro.core.kmeans import lloyd
+from repro.core.quality import sse
 from repro.data.generator import generate_cell_points
 points = generate_cell_points(75_000, seed=29, dim=6)
-seeds = points[np.random.default_rng(41).choice(75_000, size=40, replace=False)]
+rng = np.random.default_rng(41)
+seeds = points[rng.choice(75_000, size=40, replace=False)]
+weights = rng.uniform(0.5, 2.0, size=75_000)
 result = lloyd(points, seeds, max_iter=25, kernel="dense")
 print(json.dumps({
     "sse": result.sse.hex(),
     "centroids": hashlib.sha256(result.centroids.tobytes()).hexdigest(),
     "iterations": result.iterations,
+    "quality_sse": sse(points, seeds, weights).hex(),
 }))
 """
 
