@@ -14,7 +14,6 @@ Public surface:
 * :mod:`~repro.stream.kmeans_ops` — the paper's partial/merge operators.
 """
 
-from repro.stream.adaptive import AdaptationEvent, AdaptiveExecutor
 from repro.stream.checkpoint import (
     CheckpointError,
     JournalFormatError,
@@ -101,8 +100,6 @@ from repro.stream.tracing import dump_metrics_json, metrics_to_dict, render_gant
 from repro.stream.scheduler import DEFAULT_MEMORY_BUDGET, ResourceManager
 
 __all__ = [
-    "AdaptationEvent",
-    "AdaptiveExecutor",
     "ClusterSpec",
     "DistributedSimulation",
     "MachineSpec",

@@ -8,11 +8,13 @@ way the paper's prototype wired them into Conquest:
 * :class:`PartialKMeansOperator` — cloneable transform; clusters one chunk
   into a :class:`CentroidMessage` of weighted centroids.
 * :class:`MergeKMeansSink` — the consumer; pools each cell's weighted
-  centroids and runs the collective merge k-means, finalising a cell as
-  soon as its last partition arrives.
+  centroids and runs the collective merge k-means (:func:`merge_cell`),
+  finalising a cell as soon as its last partition arrives.
 
 :func:`run_partial_merge_stream` assembles the graph, plans it against a
 resource envelope (which decides partial clone counts) and executes it.
+The shard runtime (:mod:`repro.stream.shard`) runs the same partial
+operator, :func:`chunk_rng` and :func:`merge_cell` inside its workers.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 import numpy as np
 
 from repro.core.convergence import ConvergenceCriterion
-from repro.core.kernels import merge_counter_dicts
+from repro.core.kernels import KernelCounters, merge_counter_dicts
 from repro.core.kmeans import DEFAULT_MAX_ITER
 from repro.core.merge import merge_kmeans
 from repro.core.model import ClusterModel, as_points
@@ -50,9 +52,132 @@ __all__ = [
     "PartialKMeansOperator",
     "PartialKMeansSpec",
     "MergeKMeansSink",
+    "cell_digest",
+    "chunk_rng",
+    "coerce_cell_points",
+    "merge_cell",
     "build_partial_merge_graph",
     "run_partial_merge_stream",
 ]
+
+#: ``ClusterModel.method`` recorded by the plan-based backends.
+STREAM_METHOD = "partial/merge[stream]"
+
+
+def coerce_cell_points(points: np.ndarray) -> np.ndarray:
+    """Validate one cell's points, allowing the zero-point cell."""
+    arr = np.asarray(points, dtype=np.float64)
+    if arr.size == 0:
+        dim = arr.shape[1] if arr.ndim == 2 else 1
+        return np.zeros((0, max(1, dim)), dtype=np.float64)
+    return as_points(arr)
+
+
+def cell_digest(cell_id: str) -> bytes:
+    """Stable 8-byte digest of a cell id (RNG keying, journal names)."""
+    return hashlib.blake2b(cell_id.encode("utf-8"), digest_size=8).digest()
+
+
+def chunk_rng(
+    seed_sequence: np.random.SeedSequence, cell_id: str, slot: int
+) -> np.random.Generator:
+    """Chunk-identity RNG: a pure function of ``(seed, cell, slot)``.
+
+    ``slot`` is the partition index for a partition's partial k-means.
+    Never a function of processing order, clone or worker identity —
+    which is what makes clone counts, backends and journal replay
+    bit-identical.
+    """
+    digest = cell_digest(cell_id)
+    derived = np.random.SeedSequence(
+        entropy=seed_sequence.entropy,
+        spawn_key=tuple(seed_sequence.spawn_key)
+        + (
+            int.from_bytes(digest[:4], "little"),
+            int.from_bytes(digest[4:], "little"),
+            slot,
+        ),
+    )
+    return np.random.default_rng(derived)
+
+
+def merge_cell(
+    messages: Iterable[CentroidMessage],
+    k: int,
+    expected: int = 0,
+    criterion: ConvergenceCriterion | None = None,
+    max_iter: int = DEFAULT_MAX_ITER,
+    kernel: str | None = None,
+    evaluate_on: np.ndarray | None = None,
+    method: str = STREAM_METHOD,
+) -> tuple[ClusterModel, KernelCounters | None]:
+    """Collective merge over one cell's partition summaries.
+
+    Pools the summaries in partition order, runs the weighted merge
+    k-means and builds the cell's :class:`ClusterModel` (contract in
+    :class:`MergeKMeansSink`).  With ``expected`` partitions declared and
+    fewer present, the model carries the ``incomplete`` extras.
+
+    Args:
+        messages: the cell's partition summaries, in any order.
+        k: centroids in the final model.
+        expected: partitions the cell was split into (0 = unknown).
+        criterion: convergence criterion for the merge k-means.
+        max_iter: Lloyd iteration cap for the merge k-means.
+        kernel: Lloyd assignment backend for the merge k-means.
+        evaluate_on: the cell's raw points; when given the model's MSE is
+            measured on them instead of on the pooled centroids.
+        method: ``ClusterModel.method`` label.
+
+    Returns:
+        ``(model, merge_counters)`` — the merge run's kernel counters, or
+        ``None`` when it recorded none.
+    """
+    ordered = sorted(messages, key=lambda m: m.partition)
+    start = time.perf_counter()
+    merged = merge_kmeans(
+        [m.summary for m in ordered],
+        k,
+        criterion=criterion,
+        max_iter=max_iter,
+        kernel=kernel,
+    )
+    total = time.perf_counter() - start
+    final_mse = (
+        evaluate_mse(evaluate_on, merged.model.centroids)
+        if evaluate_on is not None
+        else merged.mse
+    )
+    partial_seconds = sum(m.partial_seconds for m in ordered)
+    extra: dict = {
+        "merge_iterations": merged.iterations,
+        "partial_iterations": [m.partial_iterations for m in ordered],
+    }
+    if expected and len(ordered) != expected:
+        # Finalising short: partitions were lost upstream.  The model is
+        # still usable, but the loss must be visible.  Shape contract
+        # (shared with CoresetTreeSink and the shard runtime, asserted by
+        # tests and JSON-journal-safe): ``incomplete`` is True,
+        # ``expected_partitions`` is an int, ``missing_partitions`` is a
+        # sorted list of ints.
+        present = {m.partition for m in ordered}
+        extra["incomplete"] = True
+        extra["expected_partitions"] = int(expected)
+        extra["missing_partitions"] = sorted(
+            int(p) for p in set(range(expected)) - present
+        )
+    model = ClusterModel(
+        centroids=merged.model.centroids,
+        weights=merged.model.weights,
+        mse=final_mse,
+        method=method,
+        partitions=len(ordered),
+        partial_seconds=partial_seconds,
+        merge_seconds=merged.seconds,
+        total_seconds=partial_seconds + total,
+        extra=extra,
+    )
+    return model, merged.counters
 
 
 class GridCellChunkSource(Source):
@@ -86,20 +211,11 @@ class GridCellChunkSource(Source):
         if n_chunks is None and resources is None:
             raise ValueError("provide either n_chunks or resources")
         self._cells = {
-            cell: self._coerce(points) for cell, points in cells.items()
+            cell: coerce_cell_points(points) for cell, points in cells.items()
         }
         self._n_chunks = n_chunks
         self._resources = resources
         self._rng = np.random.default_rng(seed)
-
-    @staticmethod
-    def _coerce(points: np.ndarray) -> np.ndarray:
-        """Validate one cell's points, allowing the zero-point cell."""
-        arr = np.asarray(points, dtype=np.float64)
-        if arr.size == 0:
-            dim = arr.shape[1] if arr.ndim == 2 else 1
-            return np.zeros((0, max(1, dim)), dtype=np.float64)
-        return as_points(arr)
 
     def generate(self) -> Iterator[DataChunk | Watermark]:
         for cell_id, points in self._cells.items():
@@ -165,7 +281,7 @@ class PartialKMeansOperator(Transform):
         self.criterion = criterion
         self.max_iter = max_iter
         self.kernel = kernel
-        self._seed_sequence = (
+        self.seed_sequence = (
             seed_sequence if seed_sequence is not None else np.random.SeedSequence()
         )
 
@@ -177,24 +293,9 @@ class PartialKMeansOperator(Transform):
             criterion=self.criterion,
             max_iter=self.max_iter,
             kernel=self.kernel,
-            seed_sequence=self._seed_sequence,
+            seed_sequence=self.seed_sequence,
             name=self.name,
         )
-
-    def _rng_for_chunk(self, cell_id: str, partition: int) -> np.random.Generator:
-        """Chunk-identity RNG: a pure function of (seed, cell, partition)."""
-        digest = hashlib.blake2b(cell_id.encode("utf-8"), digest_size=8).digest()
-        base = self._seed_sequence
-        derived = np.random.SeedSequence(
-            entropy=base.entropy,
-            spawn_key=tuple(base.spawn_key)
-            + (
-                int.from_bytes(digest[:4], "little"),
-                int.from_bytes(digest[4:], "little"),
-                partition,
-            ),
-        )
-        return np.random.default_rng(derived)
 
     def process(
         self, item: DataChunk | Watermark
@@ -209,7 +310,7 @@ class PartialKMeansOperator(Transform):
             item.points,
             self.k,
             self.restarts,
-            self._rng_for_chunk(item.cell_id, item.partition),
+            chunk_rng(self.seed_sequence, item.cell_id, item.partition),
             source=f"{item.cell_id}/P{item.partition}",
             seeding=self.seeding,
             criterion=self.criterion,
@@ -230,7 +331,7 @@ class PartialKMeansOperator(Transform):
 
     def to_spec(self) -> "PartialKMeansSpec":
         """Picklable recipe for the process backend (rebuilds this clone)."""
-        base = self._seed_sequence
+        base = self.seed_sequence
         return PartialKMeansSpec(
             k=self.k,
             restarts=self.restarts,
@@ -370,7 +471,7 @@ class MergeKMeansSink(Sink):
                 # record an explicit empty model for it now.
                 model = ClusterModel.empty(
                     int(item.payload.get("dim", 1)),
-                    method="partial/merge[stream]",
+                    method=STREAM_METHOD,
                     extra={"empty_cell": True},
                 )
                 self._models[item.cell_id] = model
@@ -402,63 +503,30 @@ class MergeKMeansSink(Sink):
         messages = self._pending.pop(cell_id, [])
         if not messages:
             return
-        messages.sort(key=lambda m: m.partition)
-        start = time.perf_counter()
-        merged = merge_kmeans(
-            [m.summary for m in messages],
+        model, merge_counters = merge_cell(
+            messages,
             self.k,
+            expected=self._expected.get(cell_id, 0),
             criterion=self.criterion,
             max_iter=self.max_iter,
             kernel=self.kernel,
+            evaluate_on=self._evaluate_on.get(cell_id),
         )
-        total = time.perf_counter() - start
         for message in messages:
             if message.kernel_counters:
                 merge_counter_dicts(
                     self.kernel_counters.setdefault("partial", {}),
                     message.kernel_counters,
                 )
-        if merged.counters is not None and merged.counters.assign_calls:
+        if merge_counters is not None and merge_counters.assign_calls:
             merge_counter_dicts(
                 self.kernel_counters.setdefault("merge", {}),
-                merged.counters.as_dict(),
+                merge_counters.as_dict(),
             )
-        raw = self._evaluate_on.get(cell_id)
-        final_mse = (
-            evaluate_mse(raw, merged.model.centroids) if raw is not None else merged.mse
-        )
-        partial_seconds = sum(m.partial_seconds for m in messages)
-        extra: dict = {
-            "merge_iterations": merged.iterations,
-            "partial_iterations": [m.partial_iterations for m in messages],
-        }
-        expected = self._expected.get(cell_id, 0)
-        if expected and len(messages) != expected:
-            # Finalising short: partitions were dropped upstream (degrade
-            # policy).  The model is still usable, but the loss must be
-            # visible — both on the model and in the execution metrics.
-            # Shape contract (shared with CoresetTreeSink, asserted by
-            # tests and JSON-journal-safe): ``incomplete`` is True,
-            # ``expected_partitions`` is an int, ``missing_partitions`` is
-            # a sorted list of ints.
-            present = {m.partition for m in messages}
-            extra["incomplete"] = True
-            extra["expected_partitions"] = int(expected)
-            extra["missing_partitions"] = sorted(
-                int(p) for p in set(range(expected)) - present
-            )
+        if model.extra.get("incomplete"):
+            # Partitions were dropped upstream (degrade policy): the loss
+            # shows on the model and in the execution metrics.
             self.incomplete_cells.append(cell_id)
-        model = ClusterModel(
-            centroids=merged.model.centroids,
-            weights=merged.model.weights,
-            mse=final_mse,
-            method="partial/merge[stream]",
-            partitions=len(messages),
-            partial_seconds=partial_seconds,
-            merge_seconds=merged.seconds,
-            total_seconds=partial_seconds + total,
-            extra=extra,
-        )
         self._models[cell_id] = model
         if self._journal is not None:
             self._journal.append_cell(cell_id, model)

@@ -4,10 +4,14 @@ The paper's deployment story is a shared-nothing cluster: partial k-means
 runs *near the data* and only tiny weighted-centroid summaries travel.
 :mod:`repro.stream.distributed` simulates that deployment; this module is
 the real runtime.  A coordinator partitions the grid **by cell** across
-worker processes, each worker runs the full partial/merge pipeline for
-its cells against its own ``.rjl`` journal
-(:mod:`repro.stream.checkpoint`), and liveness flows back over heartbeat
-messages.
+worker processes, each worker runs the plan engine's partial/merge
+pipeline for its cells — the same
+:class:`~repro.stream.kmeans_ops.PartialKMeansOperator` and
+:func:`~repro.stream.kmeans_ops.merge_cell` — against its own ``.rjl``
+journal (:mod:`repro.stream.checkpoint`), and liveness flows back over
+heartbeat messages.  Each worker has at most one cell assignment in
+flight; the rest wait in a per-worker queue on the coordinator, so a
+worker that stops reading can never block the coordinator's sends.
 
 Failure model
 -------------
@@ -27,8 +31,8 @@ survives and ``respawn`` is on).  The new owner *replays* every prior
 epoch's journal for the cell — completed partition summaries are adopted
 bit-for-bit (the journal stores little-endian float64 bytes) and only the
 missing partitions are recomputed.  Because each partition's RNG is a
-pure function of ``(seed, cell_id, partition)`` (the same derivation as
-:class:`~repro.stream.kmeans_ops.PartialKMeansOperator`), the final
+pure function of ``(seed, cell_id, partition)``
+(:func:`~repro.stream.kmeans_ops.chunk_rng`), the final
 per-cell models are **bit-identical to a fault-free shard run** no matter
 which worker finishes the cell or how many times it moved.
 
@@ -41,7 +45,8 @@ standard ``incomplete`` extras (the
 completes with the loss visible in the metrics instead of failing.
 
 Chunking note: a shard worker derives one chunk-assignment RNG *per cell*
-from ``(seed, cell_id)``, so a cell's random partition split is identical
+from ``(seed, cell_id)`` (``chunk_rng`` at a sentinel slot), so a cell's
+random partition split is identical
 on any worker.  The plan-based backends instead thread one RNG across
 cells in scan order, so shard runs are bit-comparable with other shard
 runs (same seed), not with thread/process runs.
@@ -54,7 +59,6 @@ config change, not a rewrite.
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import os
 import re
@@ -63,21 +67,19 @@ import tempfile
 import threading
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.kernels import set_assign_helper_budget
 from repro.core.kmeans import DEFAULT_MAX_ITER
-from repro.core.merge import merge_kmeans
-from repro.core.model import ClusterModel, as_points
-from repro.core.partial import partial_kmeans
+from repro.core.model import ClusterModel
 from repro.core.pipeline import split_into_chunks
-from repro.core.quality import mse as evaluate_mse
 from repro.stream.checkpoint import (
     JournalFormatError,
     JournalWriter,
@@ -85,7 +87,15 @@ from repro.stream.checkpoint import (
 )
 from repro.stream.errors import ShardError, ShardWorkerLost
 from repro.stream.faults import FaultPlan, FaultSpec
-from repro.stream.items import CentroidMessage
+from repro.stream.items import CentroidMessage, DataChunk
+from repro.stream.kmeans_ops import (
+    PartialKMeansOperator,
+    PartialKMeansSpec,
+    cell_digest,
+    chunk_rng,
+    coerce_cell_points,
+    merge_cell,
+)
 from repro.stream.metrics import (
     ExecutionMetrics,
     OperatorMetrics,
@@ -108,38 +118,13 @@ __all__ = [
 #: ``ClusterModel.method`` recorded by shard runs.
 SHARD_METHOD = "partial/merge[shard]"
 
-#: Spawn-key sentinel for the per-cell chunk-assignment RNG.  Partition
+#: :func:`chunk_rng` slot of the per-cell chunk-assignment RNG.  Partition
 #: RNGs use the partition index in the same slot; real partition counts
 #: never reach 2**32 - 1, so the streams cannot collide.
 _CHUNK_RNG_SENTINEL = 2**32 - 1
 
 #: How long the coordinator waits for a worker to exit after ``stop``.
 _SHUTDOWN_GRACE = 2.0
-
-
-def _cell_digest(cell_id: str) -> bytes:
-    return hashlib.blake2b(cell_id.encode("utf-8"), digest_size=8).digest()
-
-
-def _derived_rng(
-    entropy: int, spawn_key: tuple[int, ...], cell_id: str, slot: int
-) -> np.random.Generator:
-    """The chunk-identity RNG derivation shared with the plan backends.
-
-    A pure function of ``(seed, cell, slot)`` — never of worker identity
-    or scheduling — which is what makes journal replay bit-identical.
-    """
-    digest = _cell_digest(cell_id)
-    derived = np.random.SeedSequence(
-        entropy=entropy,
-        spawn_key=tuple(spawn_key)
-        + (
-            int.from_bytes(digest[:4], "little"),
-            int.from_bytes(digest[4:], "little"),
-            slot,
-        ),
-    )
-    return np.random.default_rng(derived)
 
 
 def cell_journal_path(run_dir: str | Path, cell_id: str, epoch: int) -> Path:
@@ -150,7 +135,7 @@ def cell_journal_path(run_dir: str | Path, cell_id: str, epoch: int) -> Path:
     torn tail left by a mid-write kill stays confined to its epoch.
     """
     safe = re.sub(r"[^A-Za-z0-9._-]", "_", cell_id)
-    tag = _cell_digest(cell_id)[:4].hex()
+    tag = cell_digest(cell_id)[:4].hex()
     return Path(run_dir) / "cells" / f"{safe}-{tag}.e{epoch}.rjl"
 
 
@@ -216,53 +201,90 @@ class CellTask:
     """One cell assignment shipped to a worker.
 
     Everything a worker needs to produce the cell's final model without
-    talking to anyone: the points, the clustering configuration, the seed
-    material, its own epoch journal path and the prior epochs to replay.
+    talking to anyone: the points, the partial k-means recipe (which
+    carries the seed material and the k-means configuration the merge
+    reuses), its own epoch journal path and the prior epochs to replay.
     """
 
     cell_id: str
     epoch: int
     points: np.ndarray
     n_chunks: int
-    k: int
     merge_k: int
-    restarts: int
-    seeding: str
-    criterion: ConvergenceCriterion | None
-    max_iter: int
-    kernel: str | None
-    entropy: int
-    spawn_key: tuple[int, ...]
+    partial: PartialKMeansSpec
     journal_path: str
     prior_journals: tuple[str, ...]
     fsync: bool
+
+
+def _merge_cell_messages(
+    messages: Iterable[CentroidMessage],
+    partial: PartialKMeansSpec,
+    merge_k: int,
+    expected: int,
+    points: np.ndarray,
+) -> ClusterModel:
+    """:func:`merge_cell` with the shard run's configuration and label."""
+    model, _ = merge_cell(
+        messages,
+        merge_k,
+        expected=expected,
+        criterion=partial.criterion,
+        max_iter=partial.max_iter,
+        kernel=partial.kernel,
+        evaluate_on=points,
+        method=SHARD_METHOD,
+    )
+    return model
+
+
+def _read_journals(
+    cell_id: str, paths: Iterable[str | Path]
+) -> tuple[dict[int, CentroidMessage], ClusterModel | None, int]:
+    """Union one cell's completed partitions (and any final model).
+
+    Returns ``(partitions, model, records)``: the first copy of each
+    partition across ``paths``, the first journaled final model, and the
+    number of records read.  Torn tails (a mid-write kill's signature)
+    are tolerated by :func:`read_journal`; missing or unreadable files
+    are skipped — replay is an optimisation, correctness comes from
+    recomputation.
+    """
+    partitions: dict[int, CentroidMessage] = {}
+    model: ClusterModel | None = None
+    records = 0
+    for path in paths:
+        try:
+            state = read_journal(path)
+        except (JournalFormatError, OSError):  # missing, unreadable
+            continue
+        records += state.records
+        for index, message in state.partitions.get(cell_id, {}).items():
+            partitions.setdefault(index, message)
+        if model is None and cell_id in state.cells:
+            model = state.cells[cell_id]
+    return partitions, model, records
 
 
 # -- worker side ------------------------------------------------------------
 
 
 class _WorkerChaos:
-    """Worker-local deterministic fault injection for the shard kinds.
+    """Fires a worker's ``kill``/``heartbeat-drop`` specs, item = partition.
 
-    Replicates :meth:`FaultPlan.should_inject`'s counter-hash decision
-    (same ``(seed, spec index, target, item index)`` key) so a shard-kind
-    spec fires at exactly the same partition no matter how the run is
-    scheduled.  Budgets are tracked locally — a killed worker cannot
-    phone home.
+    The decision is :meth:`FaultPlan.should_inject` on the worker's own
+    copy of the plan, with each spec's original index, so a spec fires
+    at exactly the same partition no matter how the run is scheduled.
+    Budgets are tracked in that copy — a killed worker cannot phone home.
     """
 
     def __init__(
-        self,
-        seed: int,
-        indexed_specs: list[tuple[int, FaultSpec]],
-        target: str,
-        go_silent: Callable[[], None],
+        self, plan: FaultPlan, target: str, go_silent: Callable[[], None]
     ) -> None:
-        self._seed = seed
-        self._specs = list(indexed_specs)
+        self._plan = plan
+        self._specs = plan.shard_specs(target)
         self._target = target
         self._go_silent = go_silent
-        self._spent: dict[int, int] = {}
         self._counter = 0
 
     def on_partition(self) -> None:
@@ -270,75 +292,37 @@ class _WorkerChaos:
         index = self._counter
         self._counter += 1
         for spec_index, spec in self._specs:
-            triggered = spec.at_index is not None and index == spec.at_index
-            if not triggered and spec.probability > 0.0:
-                key = f"{self._seed}:{spec_index}:{self._target}:{index}"
-                digest = hashlib.blake2b(
-                    key.encode(), digest_size=8
-                ).digest()
-                chance = int.from_bytes(digest, "big") / 2.0**64
-                triggered = chance < spec.probability
-            if not triggered:
+            if not self._plan.should_inject(
+                spec_index, spec, self._target, index
+            ):
                 continue
-            spent = self._spent.get(spec_index, 0)
-            budget = spec.budget
-            if budget is not None and spent >= budget:
-                continue
-            self._spent[spec_index] = spent + 1
             if spec.kind == "heartbeat-drop":
                 self._go_silent()
-            elif spec.kind == "kill":
+            else:  # kill
                 os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _replay_prior_journals(
-    task: CellTask,
-) -> tuple[dict[int, CentroidMessage], ClusterModel | None, int]:
-    """Union completed partitions (and any final model) from prior epochs.
-
-    Torn tails (a mid-write kill's signature) are tolerated by
-    :func:`read_journal`; unreadable files are skipped — replay is an
-    optimisation, correctness comes from recomputation.
-    """
-    partitions: dict[int, CentroidMessage] = {}
-    model: ClusterModel | None = None
-    records = 0
-    for raw in task.prior_journals:
-        path = Path(raw)
-        if not path.exists():
-            continue
-        try:
-            state = read_journal(path)
-        except (JournalFormatError, OSError):
-            continue
-        records += state.records
-        for index, message in state.partitions.get(task.cell_id, {}).items():
-            partitions.setdefault(index, message)
-        if model is None and task.cell_id in state.cells:
-            model = state.cells[task.cell_id]
-    return partitions, model, records
 
 
 def _run_cell_task(
     task: CellTask, progress: list[int], chaos: _WorkerChaos
 ) -> tuple[ClusterModel, dict[str, Any]]:
     """Execute one cell's partial/merge pipeline, journaling as we go."""
-    points = as_points(task.points) if task.points.size else task.points
+    points = task.points  # already coerced by the coordinator
     info: dict[str, Any] = {
         "partitions_computed": 0,
         "partitions_replayed": 0,
         "replayed_records": 0,
     }
     if points.shape[0] == 0:
-        dim = points.shape[1] if points.ndim == 2 else 1
         model = ClusterModel.empty(
-            max(1, dim), method=SHARD_METHOD, extra={"empty_cell": True}
+            points.shape[1], method=SHARD_METHOD, extra={"empty_cell": True}
         )
         with JournalWriter(task.journal_path, fsync=task.fsync) as writer:
             writer.append_cell(task.cell_id, model)
         return model, info
 
-    replayed, prior_model, records = _replay_prior_journals(task)
+    replayed, prior_model, records = _read_journals(
+        task.cell_id, task.prior_journals
+    )
     info["replayed_records"] = records
     if prior_model is not None:
         # A previous owner already finalised the cell (it died between
@@ -347,12 +331,12 @@ def _run_cell_task(
             writer.append_cell(task.cell_id, prior_model)
         return prior_model, info
 
-    n_chunks = min(task.n_chunks, points.shape[0])
-    chunk_rng = _derived_rng(
-        task.entropy, task.spawn_key, task.cell_id, _CHUNK_RNG_SENTINEL
+    partial = task.partial.build()
+    chunks = split_into_chunks(
+        points,
+        min(task.n_chunks, points.shape[0]),
+        chunk_rng(partial.seed_sequence, task.cell_id, _CHUNK_RNG_SENTINEL),
     )
-    chunks = split_into_chunks(points, n_chunks, chunk_rng)
-
     messages: list[CentroidMessage] = []
     with JournalWriter(task.journal_path, fsync=task.fsync) as writer:
         for index, chunk in enumerate(chunks):
@@ -361,104 +345,19 @@ def _run_cell_task(
             if message is not None:
                 info["partitions_replayed"] += 1
             else:
-                rng = _derived_rng(
-                    task.entropy, task.spawn_key, task.cell_id, index
-                )
-                result = partial_kmeans(
-                    chunk,
-                    task.k,
-                    task.restarts,
-                    rng,
-                    source=f"{task.cell_id}/P{index}",
-                    seeding=task.seeding,
-                    criterion=task.criterion,
-                    max_iter=task.max_iter,
-                    kernel=task.kernel,
-                )
-                message = CentroidMessage(
-                    cell_id=task.cell_id,
-                    partition=index,
-                    summary=result.summary,
-                    n_partitions=len(chunks),
-                    partial_seconds=result.seconds,
-                    partial_iterations=result.iterations,
-                    kernel_counters=(
-                        result.counters.as_dict() if result.counters else None
-                    ),
+                (message,) = partial.process(
+                    DataChunk(task.cell_id, index, chunk, len(chunks))
                 )
                 info["partitions_computed"] += 1
             writer.append_partition(message)
             messages.append(message)
             progress[0] += 1
 
-        model = _merge_messages(
-            task.cell_id,
-            messages,
-            expected=len(chunks),
-            merge_k=task.merge_k,
-            criterion=task.criterion,
-            max_iter=task.max_iter,
-            kernel=task.kernel,
-            evaluate_on=points,
+        model = _merge_cell_messages(
+            messages, task.partial, task.merge_k, len(chunks), points
         )
         writer.append_cell(task.cell_id, model)
     return model, info
-
-
-def _merge_messages(
-    cell_id: str,
-    messages: list[CentroidMessage],
-    expected: int,
-    merge_k: int,
-    criterion: ConvergenceCriterion | None,
-    max_iter: int,
-    kernel: str | None,
-    evaluate_on: np.ndarray | None,
-) -> ClusterModel:
-    """Collective merge over one cell's partition summaries.
-
-    The same arithmetic as :meth:`MergeKMeansSink._finalize` (including
-    the ``incomplete`` extras contract when partitions are missing), so
-    shard models carry the shape the rest of the codebase expects.
-    """
-    ordered = sorted(messages, key=lambda m: m.partition)
-    start = time.perf_counter()
-    merged = merge_kmeans(
-        [m.summary for m in ordered],
-        merge_k,
-        criterion=criterion,
-        max_iter=max_iter,
-        kernel=kernel,
-    )
-    total = time.perf_counter() - start
-    final_mse = (
-        evaluate_mse(evaluate_on, merged.model.centroids)
-        if evaluate_on is not None
-        else merged.mse
-    )
-    partial_seconds = sum(m.partial_seconds for m in ordered)
-    extra: dict = {
-        "merge_iterations": merged.iterations,
-        "partial_iterations": [m.partial_iterations for m in ordered],
-    }
-    if expected and len(ordered) != expected:
-        present = {m.partition for m in ordered}
-        extra["incomplete"] = True
-        extra["expected_partitions"] = int(expected)
-        extra["missing_partitions"] = sorted(
-            int(p) for p in set(range(expected)) - present
-        )
-    return ClusterModel(
-        centroids=merged.model.centroids,
-        weights=merged.model.weights,
-        mse=final_mse,
-        method=SHARD_METHOD,
-        partitions=len(ordered),
-        partial_seconds=partial_seconds,
-        merge_seconds=merged.seconds,
-        total_seconds=partial_seconds + total,
-        extra=extra,
-    )
 
 
 def _shard_worker_main(
@@ -467,8 +366,8 @@ def _shard_worker_main(
     endpoint: Any,
     authkey: bytes | None,
     heartbeat_interval: float,
-    indexed_specs: list[tuple[int, FaultSpec]],
-    plan_seed: int,
+    fault_specs: tuple[FaultSpec, ...],
+    fault_seed: int,
 ) -> None:
     """Worker process entry point: connect, heartbeat, serve cell tasks.
 
@@ -476,6 +375,7 @@ def _shard_worker_main(
     processes already are the parallelism.
     """
     set_assign_helper_budget(0)
+    coordinator_pid = os.getppid()
     if transport == "tcp":
         conn = connection.Client(endpoint, authkey=authkey)
     else:
@@ -501,15 +401,17 @@ def _shard_worker_main(
         The fault modelled is a wedged or partitioned worker, so the task
         thread parks here until the coordinator's SIGKILL — the outcome
         is then decided by the seeded plan, not by whether the host lets
-        the worker finish its cells before the timeout fires.  It parks
-        *draining the connection*: the coordinator's sends block once the
-        pipe is full, and it can only fence this worker from its loop.
+        the worker finish its cells before the timeout fires.  It does
+        not read its connection while parked; the coordinator never has
+        a second assignment in flight to it, so nothing blocks on that.
+        A worker whose coordinator is gone exits instead.
         """
         drop_heartbeats.set()
-        while True:
-            conn.recv()
+        while os.getppid() == coordinator_pid:
+            time.sleep(heartbeat_interval)
+        os._exit(0)
 
-    chaos = _WorkerChaos(plan_seed, indexed_specs, name, go_silent)
+    chaos = _WorkerChaos(FaultPlan(fault_specs, fault_seed), name, go_silent)
 
     def heartbeat_loop() -> None:
         seq = 0
@@ -559,7 +461,12 @@ def _shard_worker_main(
 
 @dataclass
 class _WorkerSlot:
-    """Coordinator-side state for one worker slot."""
+    """Coordinator-side state for one worker slot.
+
+    ``pending`` holds every unfinished cell the worker owns; ``queue``
+    the tasks of those not yet sent, in assignment order.  At most one
+    task is in flight, so a send never waits on a busy worker.
+    """
 
     name: str
     process: multiprocessing.process.BaseProcess
@@ -570,6 +477,8 @@ class _WorkerSlot:
     last_progress: int = 0
     last_progress_change: float = 0.0
     pending: set = field(default_factory=set)
+    queue: deque = field(default_factory=deque)
+    in_flight: bool = False
 
 
 @dataclass
@@ -581,9 +490,7 @@ class _CellState:
     n_chunks: int
     epoch: int = 0
     attempts: int = 0
-    owner: str | None = None
     model: ClusterModel | None = None
-    degraded: bool = False
     journals: list = field(default_factory=list)
 
     @property
@@ -662,21 +569,21 @@ class ShardCoordinator:
     ) -> None:
         if not cells:
             raise ValueError("cells mapping must not be empty")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        self._partial = PartialKMeansOperator(
+            k=k,
+            restarts=restarts,
+            seeding=seeding,
+            criterion=criterion,
+            max_iter=max_iter,
+            kernel=kernel,
+            seed_sequence=np.random.SeedSequence(seed),
+        ).to_spec()
+        self._merge_k = merge_k if merge_k is not None else k
         self.config = config if config is not None else ShardConfig()
         self.fault_plan = fault_plan
         self._resources = (
             resources if resources is not None else ResourceManager()
         )
-        self._seed_sequence = np.random.SeedSequence(seed)
-        self._k = k
-        self._merge_k = merge_k if merge_k is not None else k
-        self._restarts = restarts
-        self._seeding = seeding
-        self._criterion = criterion
-        self._max_iter = max_iter
-        self._kernel = kernel
         self._n_chunks = n_chunks
         self._tempdir: tempfile.TemporaryDirectory | None = None
         if self.config.run_dir is not None:
@@ -691,7 +598,7 @@ class ShardCoordinator:
         self._next_worker_index = 0
         self._cells: dict[str, _CellState] = {}
         for cell_id in sorted(cells):
-            points = self._coerce(cells[cell_id])
+            points = coerce_cell_points(cells[cell_id])
             self._cells[cell_id] = _CellState(
                 cell_id=cell_id,
                 points=points,
@@ -701,14 +608,6 @@ class ShardCoordinator:
         self.metrics = ExecutionMetrics(backend=SHARDS)
         self._coordinator_op = OperatorMetrics(name="coordinator")
         self.metrics.operators.append(self._coordinator_op)
-
-    @staticmethod
-    def _coerce(points: np.ndarray) -> np.ndarray:
-        arr = np.asarray(points, dtype=np.float64)
-        if arr.size == 0:
-            dim = arr.shape[1] if arr.ndim == 2 else 1
-            return np.zeros((0, max(1, dim)), dtype=np.float64)
-        return as_points(arr)
 
     def _chunks_for(self, points: np.ndarray) -> int:
         if points.shape[0] == 0:
@@ -725,10 +624,11 @@ class ShardCoordinator:
     def _spawn_worker(self, with_faults: bool = True) -> _WorkerSlot:
         name = f"worker#{self._next_worker_index}"
         self._next_worker_index += 1
-        indexed_specs: list[tuple[int, FaultSpec]] = []
-        if with_faults and self.fault_plan is not None:
-            indexed_specs = self.fault_plan.shard_specs(name)
-        plan_seed = self.fault_plan.seed if self.fault_plan is not None else 0
+        # The whole spec list travels, so the worker's FaultPlan copy
+        # decides with the original spec indices.
+        plan = self.fault_plan if with_faults else None
+        fault_specs = plan.specs if plan is not None else ()
+        fault_seed = plan.seed if plan is not None else 0
         if self.config.transport == "tcp":
             if self._listener is None:
                 self._listener = connection.Listener(
@@ -745,8 +645,8 @@ class ShardCoordinator:
                 endpoint,
                 self._authkey if self.config.transport == "tcp" else None,
                 self.config.heartbeat_interval,
-                indexed_specs,
-                plan_seed,
+                fault_specs,
+                fault_seed,
             ),
             name=f"repro-shard-{name}",
             daemon=True,
@@ -777,7 +677,6 @@ class ShardCoordinator:
         return slot
 
     def _assign(self, cell: _CellState, worker: _WorkerSlot) -> None:
-        cell.owner = worker.name
         cell.attempts += 1
         journal = cell_journal_path(self._run_dir, cell.cell_id, cell.epoch)
         journal.parent.mkdir(parents=True, exist_ok=True)
@@ -786,15 +685,8 @@ class ShardCoordinator:
             epoch=cell.epoch,
             points=cell.points,
             n_chunks=cell.n_chunks,
-            k=self._k,
             merge_k=self._merge_k,
-            restarts=self._restarts,
-            seeding=self._seeding,
-            criterion=self._criterion,
-            max_iter=self._max_iter,
-            kernel=self._kernel,
-            entropy=int(self._seed_sequence.entropy),
-            spawn_key=tuple(self._seed_sequence.spawn_key),
+            partial=self._partial,
             journal_path=str(journal),
             prior_journals=tuple(str(p) for p in cell.journals),
             fsync=self.config.fsync,
@@ -802,8 +694,21 @@ class ShardCoordinator:
         cell.journals.append(journal)
         worker.pending.add(cell.cell_id)
         worker.stats.cells_owned += 1
+        worker.queue.append(task)
+        self._send_next(worker)
+
+    def _send_next(self, worker: _WorkerSlot) -> None:
+        """Send the worker its next queued task unless one is in flight.
+
+        A task can be larger than the transport's buffer, so sending to a
+        worker that is not reading (busy, or wedged) would block the
+        coordinator's only thread — and every liveness check with it.
+        """
+        if worker.in_flight or not worker.queue:
+            return
+        worker.in_flight = True
         try:
-            worker.conn.send(("assign", task))
+            worker.conn.send(("assign", worker.queue.popleft()))
         except (BrokenPipeError, OSError):
             # The worker died between spawn/selection and this send; the
             # main loop's liveness check will reassign the cell.
@@ -865,6 +770,7 @@ class ShardCoordinator:
             tracker.cells_reassigned += 1
             self._assign(cell, survivor)
         worker.pending.clear()
+        worker.queue.clear()
         if not tracker.cells:
             # Nothing needed recovery (all cells were degraded or already
             # terminal): the event is complete at detection time.
@@ -879,44 +785,24 @@ class ShardCoordinator:
         partitions carries the standard ``incomplete`` extras and the
         cell is listed in the metrics.
         """
-        union: dict[int, CentroidMessage] = {}
-        for path in cell.journals:
-            journal = Path(path)
-            if not journal.exists():
-                continue
-            try:
-                state = read_journal(journal)
-            except (JournalFormatError, OSError):
-                continue
-            for index, message in state.partitions.get(
-                cell.cell_id, {}
-            ).items():
-                union.setdefault(index, message)
-            if cell.cell_id in state.cells:
-                # A dead owner finalised the cell before it was declared
-                # lost; the journaled model is complete and exact.
-                cell.model = state.cells[cell.cell_id]
-                return
+        union, journaled, _ = _read_journals(cell.cell_id, cell.journals)
+        if journaled is not None:
+            # A dead owner finalised the cell before it was declared
+            # lost; the journaled model is complete and exact.
+            cell.model = journaled
+            return
         expected = cell.n_chunks
         if union:
-            cell.model = _merge_messages(
-                cell.cell_id,
-                list(union.values()),
-                expected=expected,
-                merge_k=self._merge_k,
-                criterion=self._criterion,
-                max_iter=self._max_iter,
-                kernel=self._kernel,
-                evaluate_on=cell.points,
+            cell.model = _merge_cell_messages(
+                union.values(), self._partial, self._merge_k, expected, cell.points
             )
             if len(union) == expected:
                 # The journals held everything: a full recovery, not a
                 # degrade — don't mark the cell incomplete.
                 return
         else:
-            dim = cell.points.shape[1] if cell.points.ndim == 2 else 1
             cell.model = ClusterModel.empty(
-                max(1, dim),
+                cell.points.shape[1],
                 method=SHARD_METHOD,
                 extra={
                     "incomplete": True,
@@ -924,7 +810,6 @@ class ShardCoordinator:
                     "missing_partitions": list(range(expected)),
                 },
             )
-        cell.degraded = True
         self._coordinator_op.incomplete_cells.append(cell.cell_id)
 
     # -- message handling ---------------------------------------------------
@@ -944,9 +829,8 @@ class ShardCoordinator:
                 worker.last_progress_change = now
         elif kind == "cell_done":
             _, _, cell_id, epoch, model, info = message
-            worker.last_heartbeat = now
             worker.last_progress_change = now
-            worker.pending.discard(cell_id)
+            self._task_returned(worker, cell_id, now)
             worker.stats.partitions_computed += int(
                 info.get("partitions_computed", 0)
             )
@@ -961,8 +845,7 @@ class ShardCoordinator:
             self._cell_terminal(cell_id, int(info.get("replayed_records", 0)))
         elif kind == "cell_failed":
             _, _, cell_id, epoch, error_text = message
-            worker.last_heartbeat = now
-            worker.pending.discard(cell_id)
+            self._task_returned(worker, cell_id, now)
             cell = self._cells[cell_id]
             if cell.terminal:
                 return
@@ -982,6 +865,15 @@ class ShardCoordinator:
             self._assign(cell, survivor)
         elif kind == "bye":
             worker.alive = False
+
+    def _task_returned(
+        self, worker: _WorkerSlot, cell_id: str, now: float
+    ) -> None:
+        """A task's reply arrived: the worker is idle, send its next one."""
+        worker.last_heartbeat = now
+        worker.pending.discard(cell_id)
+        worker.in_flight = False
+        self._send_next(worker)
 
     def _cell_terminal(self, cell_id: str, replayed_records: int) -> None:
         now = time.monotonic()

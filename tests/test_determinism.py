@@ -2,8 +2,8 @@
 
 Chunk order and every RNG draw are fixed by the seed: each partition's
 RNG is a pure function of (seed, cell, partition), never of processing
-order, so runs must agree to the last bit across executors, clone counts
-and execution backends (threads vs worker processes).
+order, so runs must agree to the last bit across runs, clone counts and
+execution backends (threads vs worker processes).
 """
 
 from __future__ import annotations
@@ -11,14 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.stream.adaptive import AdaptiveExecutor
-from repro.stream.executor import Executor
-from repro.stream.kmeans_ops import (
-    build_partial_merge_graph,
-    run_partial_merge_stream,
-)
-from repro.stream.planner import Planner
-from repro.stream.scheduler import ResourceManager
+from repro.stream.kmeans_ops import run_partial_merge_stream
 from tests.conftest import make_blobs
 
 
@@ -47,18 +40,6 @@ def run_processes(cells, seed, clones=2):
     return models
 
 
-def run_adaptive(cells, seed):
-    # Graph operators are stateful — build a fresh one per run.
-    graph = build_partial_merge_graph(
-        cells, k=3, restarts=2, n_chunks=3, seed=seed, max_iter=40
-    )
-    plan = Planner(ResourceManager(worker_slots=4)).plan(
-        graph, clone_overrides={"partial": 1}
-    )
-    outcome = AdaptiveExecutor(max_extra_clones=0).run(plan)
-    return outcome.value
-
-
 def assert_models_identical(a, b):
     assert set(a) == set(b)
     for cell in a:
@@ -70,12 +51,6 @@ def assert_models_identical(a, b):
 class TestDeterminism:
     def test_same_seed_byte_identical_across_executor_runs(self, cells):
         assert_models_identical(run_simple(cells, 7), run_simple(cells, 7))
-
-    def test_same_seed_byte_identical_executor_vs_adaptive(self, cells):
-        assert_models_identical(run_simple(cells, 7), run_adaptive(cells, 7))
-
-    def test_adaptive_runs_agree_with_each_other(self, cells):
-        assert_models_identical(run_adaptive(cells, 3), run_adaptive(cells, 3))
 
     def test_thread_and_process_backends_bit_identical(self, cells):
         """The tentpole guarantee: offloading partial clones to worker

@@ -8,14 +8,24 @@ same weights, down to the last float bit.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.core.pipeline import split_into_chunks
 from repro.stream.faults import FaultPlan, FaultSpec
-from repro.stream.kmeans_ops import run_partial_merge_stream
+from repro.stream.items import DataChunk
+from repro.stream.kmeans_ops import (
+    PartialKMeansOperator,
+    chunk_rng,
+    merge_cell,
+    run_partial_merge_stream,
+)
 from repro.stream.metrics import RecoveryEvent, ShardWorkerStats
 from repro.stream.query import Query, QueryError
 from repro.stream.shard import (
+    _CHUNK_RNG_SENTINEL,
     SHARD_METHOD,
     CellTask,
     ShardConfig,
@@ -36,13 +46,48 @@ def small_cells(n_cells=6, n_points=200, dim=2):
     }
 
 
-def heavy_cells(n_cells=4):
+def heavy_cells(n_cells=4, per_blob=2_000):
     """Cells big enough that a worker is mid-cell for a few hundred ms."""
     centers = np.array([[0.0] * 8, [9.0] * 8])
     return {
-        f"lat{i}lon0": make_blobs(2_000, centers, scale=0.8, seed=200 + i)
+        f"lat{i}lon0": make_blobs(per_blob, centers, scale=0.8, seed=200 + i)
         for i in range(n_cells)
-    }  # 4000 points per cell (2 blobs x 2000)
+    }  # 2 * per_blob points of 8 dimensions per cell
+
+
+def in_process_models(cells, k, n_chunks, seed, restarts=1, seeding="kmeans||"):
+    """Every cell recomputed in-process from the pieces shard workers run.
+
+    Chunk RNG, then the plan engine's partial operator per chunk, then the
+    shared merge — no worker, journal or coordinator involved.
+    """
+    partial = PartialKMeansOperator(
+        k=k,
+        restarts=restarts,
+        seeding=seeding,
+        seed_sequence=np.random.SeedSequence(seed),
+    )
+    models = {}
+    for cell_id, points in cells.items():
+        chunk_stream = chunk_rng(
+            partial.seed_sequence, cell_id, _CHUNK_RNG_SENTINEL
+        )
+        chunks = split_into_chunks(points, n_chunks, chunk_stream)
+        messages = [
+            message
+            for index, chunk in enumerate(chunks)
+            for message in partial.process(
+                DataChunk(cell_id, index, chunk, len(chunks))
+            )
+        ]
+        models[cell_id], _ = merge_cell(
+            messages,
+            k,
+            expected=len(chunks),
+            evaluate_on=points,
+            method=SHARD_METHOD,
+        )
+    return models
 
 
 def fast_config(n_workers=3, **overrides):
@@ -239,6 +284,67 @@ class TestHeartbeatChaos:
         assert any(
             event.reason == "missed-heartbeats" for event in metrics.recoveries
         )
+
+    def test_worker_that_stops_reading_cannot_wedge_the_coordinator(self):
+        """A silent worker parks without reading its connection.
+
+        Each task (6 000 x 8 float64 points, 384 kB) exceeds the socket
+        buffer and each worker owns two cells: a coordinator that sent
+        worker#0's second assignment while worker#0 is parked would block
+        in ``send`` forever, never reaching the heartbeat check.
+        """
+        cells = heavy_cells(per_blob=3_000)
+        config = fast_config(2, heartbeat_interval=0.03, heartbeat_timeout=0.15)
+        run = dict(k=8, n_chunks=6, restarts=2, seed=1, config=config)
+        expected, _ = run_sharded(cells, **run)
+        plan = FaultPlan(
+            seed=3,
+            specs=[
+                FaultSpec(target="worker#0", kind="heartbeat-drop", at_index=0)
+            ],
+        )
+        outcome = {}
+
+        def chaos_run():
+            try:
+                outcome["result"] = run_sharded(cells, fault_plan=plan, **run)
+            except BaseException as exc:  # re-raised on the test thread
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=chaos_run, daemon=True)
+        thread.start()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive(), "coordinator wedged in send()"
+        if "error" in outcome:
+            raise outcome["error"]
+        chaos, metrics = outcome["result"]
+        assert_models_bit_identical(expected, chaos)
+        assert [e.reason for e in metrics.recoveries] == ["missed-heartbeats"]
+
+
+class TestMatchesInProcessPipeline:
+    """Each shard cell model = the shared pieces run in-process."""
+
+    def assert_cells_match(self, cells, models):
+        oracle = in_process_models(cells, k=4, n_chunks=4, seed=42)
+        assert_models_bit_identical(oracle, models)
+        for cell_id, model in models.items():
+            assert model.partitions == oracle[cell_id].partitions
+            assert model.extra == oracle[cell_id].extra
+
+    def test_fault_free(self, cells, baseline):
+        models, _ = baseline
+        self.assert_cells_match(cells, models)
+
+    def test_under_kill(self, cells):
+        plan = FaultPlan(
+            seed=7, specs=[FaultSpec(target="worker#1", kind="kill", at_index=2)]
+        )
+        models, metrics = run_sharded(
+            cells, k=4, n_chunks=4, seed=42, config=fast_config(3), fault_plan=plan
+        )
+        assert [e.reason for e in metrics.recoveries] == ["dead-pid"]
+        self.assert_cells_match(cells, models)
 
 
 class TestDegradeTier:
@@ -515,20 +621,19 @@ class TestConfigValidation:
     def test_cell_task_is_picklable(self, tmp_path):
         import pickle
 
+        partial = PartialKMeansOperator(
+            k=2,
+            restarts=1,
+            max_iter=10,
+            seed_sequence=np.random.SeedSequence(7),
+        ).to_spec()
         task = CellTask(
             cell_id="lat0lon0",
             epoch=0,
             points=np.zeros((4, 2)),
             n_chunks=2,
-            k=2,
             merge_k=2,
-            restarts=1,
-            seeding="random",
-            criterion=None,
-            max_iter=10,
-            kernel=None,
-            entropy=7,
-            spawn_key=(),
+            partial=partial,
             journal_path=str(tmp_path / "x.rjl"),
             prior_journals=(),
             fsync=False,
@@ -536,6 +641,8 @@ class TestConfigValidation:
         clone = pickle.loads(pickle.dumps(task))
         assert clone.cell_id == task.cell_id
         assert clone.points.tobytes() == task.points.tobytes()
+        assert clone.partial == partial
+        assert clone.partial.build().seed_sequence.entropy == 7
 
     def test_metric_dataclasses(self):
         stats = ShardWorkerStats(name="w")
