@@ -3,7 +3,7 @@
 One fixed-seed Lloyd run per kernel per configuration, from identical
 seeds, on the same synthetic MISR-style mixture the paper's experiments
 use.  Walls are the min over a few runs per kernel (single-CPU containers
-jitter ~10%; the min damps it without hiding a real regression).  Four
+jitter ~10%; the min damps it without hiding a real regression).  These
 things are checked and recorded into ``BENCH_kernel.json``:
 
 * **bit identity** — ``elkan``'s centroids/assignments/SSE/iterations
@@ -24,10 +24,17 @@ things are checked and recorded into ``BENCH_kernel.json``:
   CPUs to use.
 
 The rows at k=40, d=6, ``max_iter=25`` are the shapes the pipeline's
-partitions actually issue (250 to 25 000 points per ``lloyd`` call).  They
-carry a recorded ``fastest_exact`` (parallel ``dense`` vs ``elkan``, as
-the pipeline runs them) and **no gate**: they are the measurement a
-run-time dense/elkan choice will be derived from, not a claim.
+partitions actually issue (250 to 25 000 points per ``lloyd`` call), with
+2 000 and 8 000 / 12 000 / 16 000 to pin the crossover; the 75 000 ×
+``max_iter=40`` row is the end-to-end benchmark's serial oracle.  Every
+row records a ``fastest_exact`` (parallel ``dense`` vs ``elkan``, as the
+pipeline runs them) and the ``default_pick``: the kernel ``lloyd`` runs
+there when none is named (``elkan`` from ``_BOUNDS_MIN_PAIRS`` n·k pairs
+up, read off the k=40 rows).  **Default gate** (when ``meaningful``): on
+every k=40 row the default's wall is at most 1.1x the fastest exact
+wall.  The 5 000 × 8 × 4 row is recorded but not gated: it has the
+pairs of the 1 000 × 40 row, where ``dense`` wins by 1.6x, yet ``elkan``
+measured 1.01-1.15x faster on it, which no rule on n·k alone can follow.
 
 Every kernel on every row also records ``peak_traced_mib``: the
 ``tracemalloc`` peak of one further, untimed ``lloyd`` call (allocations
@@ -51,6 +58,7 @@ import numpy as np
 from repro.core.kernels import (
     assign_helper_budget,
     blas_mse_tolerance,
+    resolve_kernel,
     set_assign_helper_budget,
 )
 from repro.core.kmeans import lloyd
@@ -66,13 +74,17 @@ _PIPELINE_ROUNDS = 5
 #: Wall measurements per kernel on the big rows; the recorded wall is the
 #: min.
 _ROUNDS = 2
+#: The end-to-end benchmark's serial oracle: a whole 75 000-point cell
+#: capped at 40 iterations.
+_ORACLE_ROW = (75_000, 40, 6, 40, _ROUNDS)
 #: (n, k, d, max_iter, rounds) grid; the last row is the flagship workload
 #: the acceptance thresholds apply to (n >= 50k, k >= 40).
 _GRID = [
     *(
         (n, 40, 6, _PIPELINE_MAX_ITER, _PIPELINE_ROUNDS)
-        for n in (250, 1_000, 4_000, 25_000)
+        for n in (250, 1_000, 2_000, 4_000, 8_000, 12_000, 16_000, 25_000)
     ),
+    _ORACLE_ROW,
     (5_000, 8, 4, _MAX_ITER, _ROUNDS),
     (20_000, 40, 6, _MAX_ITER, _ROUNDS),
     (50_000, 40, 6, _MAX_ITER, _ROUNDS),
@@ -83,6 +95,10 @@ _FLAGSHIP = _GRID[-1]
 _KERNELS = ("dense_serial", "dense", "elkan", "blas")
 _EXACT_KERNELS = ("dense", "elkan")
 _REFERENCE = "dense_serial"
+#: On the k of the rows the rule is read from, the default may cost at
+#: most this much over the fastest exact kernel.
+_DEFAULT_SLACK = 1.1
+_RULE_K = 40
 
 
 def _blas_backend() -> str:
@@ -178,6 +194,9 @@ def test_bench_kernel(benchmark):
         blas_mse_error = abs(blas.mse - dense.mse)
         assert blas_mse_error <= blas_tol, (n, k, d, blas.mse, dense.mse)
 
+        fastest = min(_EXACT_KERNELS, key=walls.__getitem__)
+        default_pick = resolve_kernel(None, pairs=n * k).name
+
         row = {
             "n": n,
             "k": k,
@@ -189,7 +208,9 @@ def test_bench_kernel(benchmark):
             "exact_bit_identical": True,
             "blas_mse_error": blas_mse_error,
             "blas_mse_tolerance": blas_tol,
-            "fastest_exact": min(_EXACT_KERNELS, key=walls.__getitem__),
+            "fastest_exact": fastest,
+            "default_pick": default_pick,
+            "default_over_fastest": walls[default_pick] / walls[fastest],
             "kernels": {
                 kernel: {
                     "exact": kernel != "blas",
@@ -218,6 +239,7 @@ def test_bench_kernel(benchmark):
                 f" ({walls[_REFERENCE] / max(walls[kernel], 1e-12):.2f}x)"
                 for kernel in _KERNELS
             )
+            + f"  default={default_pick}"
         )
 
     assert flagship_row is not None
@@ -269,3 +291,12 @@ def test_bench_kernel(benchmark):
     assert kernels["blas"]["speedup_vs_dense"] >= 5.0
     if meaningful:
         assert kernels["dense"]["speedup_vs_dense"] >= 1.25
+        # The size rule: whichever exact kernel the default picks is
+        # within the slack of the faster one, on every k=40 row.
+        slow = [
+            (row["n"], row["default_pick"], row["default_over_fastest"])
+            for row in rows
+            if row["k"] == _RULE_K
+            and row["default_over_fastest"] > _DEFAULT_SLACK
+        ]
+        assert not slow, slow

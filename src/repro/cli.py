@@ -225,9 +225,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
         )
     else:
         query = query.partition(args.chunks)
-    query = query.cluster(k=args.k, restarts=args.restarts).merge()
-    if args.kernel != "dense":
-        query = query.with_kernel(args.kernel)
+    query = (
+        query.cluster(k=args.k, restarts=args.restarts)
+        .merge()
+        .with_kernel(args.kernel)
+    )
     if args.clones:
         query = query.with_partial_clones(args.clones)
     if args.shards:
@@ -396,7 +398,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         k=args.k,
         seed=args.seed,
         restarts=args.restarts,
-        kernel=None if args.kernel == "dense" else args.kernel,
+        kernel=args.kernel,
         ttl_seconds=args.ttl or None,
         fsync=not args.no_fsync,
     )
@@ -481,11 +483,13 @@ def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernel",
         choices=available_kernels(),
-        default="dense",
+        default=None,
         help="Lloyd assignment kernel for all k-means stages (and serving "
-        "assigns); the exact kernels (dense/elkan) are bit-identical, so "
-        "they only change speed (counters in the metrics show what they "
-        "saved); 'blas' is the float32 GEMM kernel, whose results are only "
+        "assigns); unset, REPRO_KMEANS_KERNEL decides, else each run's size "
+        "(elkan for large passes, dense for small ones); the exact kernels "
+        "(dense/elkan) are bit-identical, so they only change speed "
+        "(counters in the metrics show what they saved); 'blas' is the "
+        "float32 GEMM kernel, whose results are only "
         "MSE-tolerance-close to the reference",
     )
 

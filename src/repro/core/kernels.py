@@ -7,17 +7,19 @@ defined here.
 
 **Exact kernels (bit-identical to each other):**
 
-* ``dense`` — the reference and the default: every (point, centroid)
-  distance by ``cdist`` per iteration, exactly the seed implementation's
-  behaviour, scored in row tiles of at most ``_TILE_BYTES``.  Large
-  passes are split into row blocks scored on helper threads, one per
-  usable CPU beyond the caller's (:class:`DenseKernel`); neither the
-  tiles nor the split change a bit of the output.
+* ``dense`` — the reference, and the default for small runs: every
+  (point, centroid) distance by ``cdist`` per iteration, exactly the
+  seed implementation's behaviour, scored in row tiles of at most
+  ``_TILE_BYTES``.  Large passes are split into row blocks scored on
+  helper threads, one per usable CPU beyond the caller's
+  (:class:`DenseKernel`); neither the tiles nor the split change a bit
+  of the output.
 * ``elkan`` — a Yinyang-style group-bounds kernel: each point keeps one
   lower bound per *group* of ``≈ 8`` centroids, deflated by that
   group's own maximum drift, plus an Elkan-style inter-centroid filter;
   only bound-check survivors get an exact full candidate row
-  (:class:`ElkanKernel`).
+  (:class:`ElkanKernel`).  The default for runs of at least
+  ``_BOUNDS_MIN_PAIRS`` (point, centroid) pairs.
 
 **Tolerance-close kernel:**
 
@@ -51,10 +53,12 @@ artefact of such a run says so: ``KMeansResult.kernel``, the
 resolved kernel.
 
 Kernel selection: pass ``kernel=`` (a name or a :class:`LloydKernel`
-instance) or set ``REPRO_KMEANS_KERNEL``; the explicit argument wins and
-the default is ``dense``.  Unknown names raise a ``ValueError`` naming
-the bad value, the valid kernels, and — when the name came from the
-environment — the variable itself.
+instance) or set ``REPRO_KMEANS_KERNEL``; the explicit argument wins.
+With neither, :func:`resolve_kernel` picks by the run's size — ``elkan``
+from ``_BOUNDS_MIN_PAIRS`` (point, centroid) pairs up, ``dense`` below —
+which changes no bit, only the time.  Unknown names raise a
+``ValueError`` naming the bad value, the valid kernels, and — when the
+name came from the environment — the variable itself.
 
 Centroid aggregation for exact kernels uses one ``np.bincount`` per
 dimension (:func:`aggregate_weighted_sums`) — the same sequential
@@ -132,6 +136,15 @@ _SPLIT_MIN_PAIRS = 100_000
 #: within 3 % of 4 MiB tiles and of the untiled pass, for every kernel,
 #: at 4 000 to 50 000 points on a 2-vCPU host.
 _TILE_BYTES = 1 << 20
+
+#: With no kernel named, a ``lloyd`` run whose passes score at least
+#: this many (point, centroid) pairs runs ``elkan`` and a smaller one
+#: ``dense``: the crossover of the ``BENCH_kernel.json`` rows at k = 40,
+#: d = 6, ``max_iter=25`` on a 2-vCPU host.  2 000 points (this many
+#: pairs) tie within 5 %; at 1 000 ``dense`` is 1.6x faster, from 4 000
+#: up ``elkan`` is 1.4x and more (``docs/kernels.md``, "Which kernel
+#: runs by default").
+_BOUNDS_MIN_PAIRS = 80_000
 
 
 def _tile_rows(k: int, itemsize: int = 8) -> int:
@@ -293,38 +306,37 @@ def _grouped_assigned_sq(
     points: np.ndarray,
     centroids: np.ndarray,
     assignments: np.ndarray,
+    out: np.ndarray,
     rows: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Exact squared distance of each point to its assigned centroid.
+) -> None:
+    """Write each point's exact squared distance to its centroid to ``out``.
 
     Values are bitwise equal to the corresponding entries of the full
     dense ``cdist`` matrix (``cdist`` evaluates pairs independently).
-    Points are grouped by centroid so each group is one vectorised call.
+    Points are grouped by centroid so each group is one vectorised call,
+    gathered at most ``_TILE_BYTES`` of points at a time into one reused
+    buffer: no copy of the points outlives the call, and none is larger
+    than a tile.
 
     When ``rows`` is given only those point indices are evaluated (and
-    only those slots of ``out`` written); ``out`` may be supplied to
-    avoid an allocation.
+    only those slots of ``out`` written).
     """
-    if out is None:
-        out = np.empty(points.shape[0], dtype=np.float64)
-    k = centroids.shape[0]
-    sub_assign = assignments if rows is None else assignments[rows]
-    order = _label_argsort(sub_assign, k)
-    sorted_rows = order if rows is None else rows[order]
-    sorted_assign = sub_assign[order]
-    bounds = np.searchsorted(sorted_assign, np.arange(k + 1), side="left")
-    # One gather up front so every group is a contiguous slice, one
-    # scatter at the end — instead of k small fancy-indexing round trips.
-    gathered = points[sorted_rows]
-    grouped = np.empty(sorted_rows.shape[0], dtype=np.float64)
+    k, dim = centroids.shape
+    labels = assignments if rows is None else assignments[rows]
+    order = _label_argsort(labels, k)
+    bounds = np.zeros(k + 1, dtype=np.intp)
+    np.cumsum(np.bincount(labels, minlength=k), out=bounds[1:])
+    del labels
+    if rows is not None:
+        order = rows[order]
+    step = _tile_rows(dim)
+    buffer = np.empty((min(step, order.size), dim), dtype=np.float64)
     for j in range(k):
-        lo, hi = bounds[j], bounds[j + 1]
-        if lo == hi:
-            continue
-        grouped[lo:hi] = _pair_sq_distances(gathered[lo:hi], centroids[j])
-    out[sorted_rows] = grouped
-    return out
+        for lo in range(bounds[j], bounds[j + 1], step):
+            tile = order[lo:min(bounds[j + 1], lo + step)]
+            block = buffer[:tile.size]
+            np.take(points, tile, axis=0, out=block)
+            out[tile] = _pair_sq_distances(block, centroids[j])
 
 
 def _label_argsort(assignments: np.ndarray, k: int) -> np.ndarray:
@@ -665,17 +677,21 @@ class ElkanKernel(_GroupBoundsKernel):
     :class:`_GroupBoundsKernel` (``G ≈ k/8`` groups).  Guard bands
     (``_GUARD32``) make every float32 rounding strictly conservative.
 
-    A pass first makes every point's assigned distance exact again:
-    points whose assigned centroid is bitwise unchanged reuse last
-    pass's value verbatim, the rest get one exact evaluation from a
-    cached copy of the points sorted by cluster — contiguous per-cluster
-    slices, only clusters that moved, no per-pass argsort.  The bound
-    test then compares the *exact* assigned distance (no drift slack on
-    the upper side — Yinyang's local filter) against the tightest group
-    bound and the Elkan inter-centroid radius
-    ``s(a) = ½·min_{j≠a} d(c_a, c_j)``; only the few genuine survivors
-    get an exact full ``cdist`` row (same argmin/tie-break as dense),
-    which also refreshes their group bounds.
+    A pass first makes every point's assigned distance exact again, in
+    place: points whose assigned centroid is bitwise unchanged keep last
+    pass's value verbatim, the members of clusters that moved get one
+    exact evaluation each, grouped by cluster a tile at a time
+    (:func:`_grouped_assigned_sq`).  The bound test then compares the
+    *exact* assigned distance (no drift slack on the upper side —
+    Yinyang's local filter) against the tightest group bound and the
+    Elkan inter-centroid radius ``s(a) = ½·min_{j≠a} d(c_a, c_j)``; only
+    the few genuine survivors get an exact full ``cdist`` row (same
+    argmin/tie-break as dense), which also refreshes their group bounds.
+
+    Memory: the per-point state is the assignment, the assigned distance
+    and the ``(G, n)`` float32 bounds — no copy of the points — plus
+    ``O(n)`` temporaries and one tile per pass, so a ``lloyd`` call
+    stays inside the same ≤ 2× point-bytes bound as ``dense``.
 
     Every output-bearing value comes from ``cdist`` on float64 inputs, so
     outputs are bit-identical to the dense reference; the accounting
@@ -684,22 +700,9 @@ class ElkanKernel(_GroupBoundsKernel):
 
     name = "elkan"
 
-    #: Rebuild the sorted-by-cluster point cache when more than this
-    #: fraction of points changed assignment since it was built.
-    _REBUILD_FRACTION = 8  # denominator: rebuild when dirty > n / 8
-
     def _reset(self) -> None:
         super()._reset()
         self._moved: np.ndarray | None = None
-        # Sorted-by-cluster cache for the exact stale-distance path.
-        self._sorted_rows: np.ndarray | None = None
-        self._sorted_pts: np.ndarray | None = None
-        self._sorted_bounds: np.ndarray | None = None
-        self._sorted_pos: np.ndarray | None = None  # inverse of sorted_rows
-        self._sorted_dirty: np.ndarray | None = None  # dirty, sorted order
-        self._dirty: np.ndarray | None = None
-        self._dirty_chunks: list[np.ndarray] = []
-        self._dirty_count = 0
         # Exact incremental aggregation cache.
         self._agg_sums: np.ndarray | None = None
         self._agg_k = -1
@@ -714,25 +717,6 @@ class ElkanKernel(_GroupBoundsKernel):
         self._valid = False
         self._agg_rebuild = True
         self._members = None
-
-    def _rebuild_sorted_cache(self, k: int) -> None:
-        pts = self._points
-        assignments = self._assignments
-        assert pts is not None and assignments is not None
-        n = pts.shape[0]
-        order = _label_argsort(assignments, k)
-        self._sorted_rows = order
-        self._sorted_pts = pts[order]
-        self._sorted_bounds = np.searchsorted(
-            assignments[order], np.arange(k + 1), side="left"
-        )
-        pos = np.empty(n, dtype=np.intp)
-        pos[order] = np.arange(n, dtype=np.intp)
-        self._sorted_pos = pos
-        self._sorted_dirty = np.zeros(n, dtype=bool)
-        self._dirty = np.zeros(n, dtype=bool)
-        self._dirty_chunks = []
-        self._dirty_count = 0
 
     def _full_refresh(
         self, centroids: np.ndarray
@@ -766,7 +750,6 @@ class ElkanKernel(_GroupBoundsKernel):
         self._sq_dists = sq_dists
         self._moved = None
         self._valid = True
-        self._rebuild_sorted_cache(k)
         self._agg_rebuild = True
         self._members = None
         self.counters.distance_evals_computed += n * k
@@ -796,62 +779,28 @@ class ElkanKernel(_GroupBoundsKernel):
             return self._full_refresh(centroids)
 
         assignments = self._assignments
-        prev_sq = self._sq_dists
-        assert prev_sq is not None and self._lower is not None
+        sq_dists = self._sq_dists
+        assert sq_dists is not None and self._lower is not None
         n_groups = self._lower.shape[0]
 
-        # Step 1: make every assigned distance exact again.  Rows
-        # whose centroid is bitwise unchanged reuse last pass's value
-        # (what cdist would reproduce bit for bit); rows of moved
-        # clusters are re-evaluated from the sorted-by-cluster cache —
-        # contiguous per-cluster slices, no argsort, no per-point
-        # masks in original order.  Rows that switched clusters since
-        # the cache was built ("dirty") fall back to the grouped path.
-        sq_dists = prev_sq.copy()
-        recompute = 0
-        moved_cols = (
-            np.flatnonzero(self._moved) if self._moved is not None
-            else np.arange(k)
-        )
-        sorted_rows = self._sorted_rows
-        sorted_pts = self._sorted_pts
-        sbounds = self._sorted_bounds
-        sdirty = self._sorted_dirty
-        assert sorted_rows is not None and sorted_pts is not None
-        assert sbounds is not None and sdirty is not None
-        any_dirty = self._dirty_count > 0
-        for j in moved_cols:
-            lo, hi = sbounds[j], sbounds[j + 1]
-            if lo == hi:
-                continue
-            slice_d2 = _pair_sq_distances(sorted_pts[lo:hi], centroids[j])
-            recompute += hi - lo
-            rows_slice = sorted_rows[lo:hi]
-            if any_dirty:
-                sl_clean = ~sdirty[lo:hi]
-                sq_dists[rows_slice[sl_clean]] = slice_d2[sl_clean]
-            else:
-                sq_dists[rows_slice] = slice_d2
-        if any_dirty:
-            # Dirty rows assigned to a moved centroid need an exact
-            # value too; unmoved ones keep last pass's bits.
-            dirty_idx = (
-                self._dirty_chunks[0] if len(self._dirty_chunks) == 1
-                else np.concatenate(self._dirty_chunks)
-            )
-            if self._moved is not None:
-                dirt_rows = dirty_idx[self._moved[assignments[dirty_idx]]]
-            else:
-                dirt_rows = dirty_idx
-            if dirt_rows.size:
-                _grouped_assigned_sq(
-                    pts, centroids, assignments, rows=dirt_rows, out=sq_dists
-                )
-                recompute += dirt_rows.size
+        # Step 1: make every assigned distance exact again, in place.
+        # Rows whose centroid is bitwise unchanged keep last pass's
+        # value (what cdist would reproduce bit for bit); the members
+        # of moved clusters are re-evaluated, grouped by cluster.
+        moved = self._moved
+        if moved is None or moved.all():
+            rows, recompute = None, n
+        else:
+            rows = np.flatnonzero(moved[assignments])
+            recompute = rows.size
+        if recompute:
+            _grouped_assigned_sq(pts, centroids, assignments, sq_dists, rows)
+        del rows
 
         # Step 2: bound test against the *exact* assigned distance
         # (Yinyang's local filter — no drift slack on the upper
-        # side) using the tightest group bound.
+        # side) using the tightest group bound.  Temporaries are
+        # updated in place: one float32 and two float64 vectors.
         lmin = self._tightest_group_bound()
 
         if k >= 2:
@@ -860,13 +809,16 @@ class ElkanKernel(_GroupBoundsKernel):
             # provably keeps its assignment (triangle inequality).
             s_radius = _half_nearest_centroid(centroids)
             s_radius *= 1.0 - _GUARD
-            bound = np.maximum(lmin, s_radius[assignments])
+            bound = s_radius[assignments]
+            np.maximum(bound, lmin, out=bound)
         else:
             bound = lmin.astype(np.float64)
+        del lmin
 
         upper = np.sqrt(sq_dists)
-        survivor_mask = upper * (1.0 + _GUARD) >= bound
-        survivors = np.flatnonzero(survivor_mask)
+        upper *= 1.0 + _GUARD
+        survivors = np.flatnonzero(upper >= bound)
+        del upper, bound
         m = survivors.size
         pruned = n - m
 
@@ -891,7 +843,6 @@ class ElkanKernel(_GroupBoundsKernel):
             row_assign = assignments[survivors]
             changed = row_assign != old_assign
             if changed.any():
-                switched = survivors[changed]
                 # Exact incremental aggregation: remember which
                 # clusters' membership changed this pass.
                 if self._agg_changed is not None:
@@ -899,19 +850,7 @@ class ElkanKernel(_GroupBoundsKernel):
                     self._agg_changed[row_assign[changed]] = True
                 else:
                     self._agg_rebuild = True
-                assert self._dirty is not None
-                assert self._sorted_pos is not None
-                assert self._sorted_dirty is not None
-                newly = switched[~self._dirty[switched]]
-                if newly.size:
-                    self._dirty[newly] = True
-                    self._sorted_dirty[self._sorted_pos[newly]] = True
-                    self._dirty_chunks.append(newly)
-                    self._dirty_count += newly.size
-            if self._dirty_count * self._REBUILD_FRACTION > n:
-                self._rebuild_sorted_cache(k)
 
-        self._sq_dists = sq_dists
         self._moved = None
         return assignments, sq_dists
 
@@ -953,11 +892,14 @@ class ElkanKernel(_GroupBoundsKernel):
             else:
                 rows = np.flatnonzero(self._agg_changed[assignments])
                 sub_assign = assignments[rows]
-            sub_weighted = weighted_points[rows]
             sums = self._agg_sums
+            # One column gathered at a time: the same values in the same
+            # order as a full-width gather, at 1/d of its memory.
             for column in range(weighted_points.shape[1]):
                 col_sums = np.bincount(
-                    sub_assign, weights=sub_weighted[:, column], minlength=k
+                    sub_assign,
+                    weights=weighted_points[rows, column],
+                    minlength=k,
                 )
                 sums[changed, column] = col_sums[changed]
             self._agg_changed[:] = False
@@ -1375,15 +1317,20 @@ def available_kernels() -> tuple[str, ...]:
     return tuple(sorted(_KERNELS))
 
 
-def resolve_kernel(kernel: "str | LloydKernel | None" = None) -> LloydKernel:
+def resolve_kernel(
+    kernel: "str | LloydKernel | None" = None, pairs: int = 0
+) -> LloydKernel:
     """Resolve a kernel selection to a fresh kernel instance.
 
     Precedence: an explicit ``kernel`` argument (name or instance) wins,
-    then the ``REPRO_KMEANS_KERNEL`` environment variable, then
-    ``"dense"``.  Passing an instance hands it back as-is (the caller
-    owns its lifecycle).  Unknown names raise a ``ValueError`` naming the
-    bad value, the valid kernels, and the environment variable when the
-    name came from it.
+    then the ``REPRO_KMEANS_KERNEL`` environment variable, then the size
+    rule: ``elkan`` for a run whose passes score at least
+    ``_BOUNDS_MIN_PAIRS`` (point, centroid) pairs — ``pairs`` = n·k,
+    which ``lloyd`` supplies — and ``dense`` below that.  The two are
+    bit-identical, so the rule only picks the faster.  Passing an
+    instance hands it back as-is (the caller owns its lifecycle).
+    Unknown names raise a ``ValueError`` naming the bad value, the valid
+    kernels, and the environment variable when the name came from it.
     """
     if isinstance(kernel, LloydKernel):
         return kernel
@@ -1391,7 +1338,9 @@ def resolve_kernel(kernel: "str | LloydKernel | None" = None) -> LloydKernel:
     if name is None:
         name = os.environ.get(KERNEL_ENV_VAR) or None
         from_env = name is not None
-    cls = _KERNELS.get(name or DenseKernel.name)
+    if not name:
+        return ElkanKernel() if pairs >= _BOUNDS_MIN_PAIRS else DenseKernel()
+    cls = _KERNELS.get(name)
     if cls is None:
         what = (
             f"{KERNEL_ENV_VAR}={name!r} names an unknown k-means kernel"

@@ -16,9 +16,10 @@ Algorithm (paper Section 2):
 The assignment step (2) is delegated to a pluggable backend from
 :mod:`repro.core.kernels`, selected via the ``kernel=`` argument or the
 ``REPRO_KMEANS_KERNEL`` environment variable (``docs/kernels.md`` lists
-them).  The exact backends are bit-identical in every output, so between
-them the choice is purely a performance knob; naming ``blas`` trades
-bit-identity for speed.
+them); with neither, the run's size picks the faster exact backend.  The
+exact backends are bit-identical in every output, so between them the
+choice is purely a performance knob; naming ``blas`` trades bit-identity
+for speed.
 
 Empty clusters — which the paper does not discuss but any fixed-k
 implementation must handle — are repaired by re-seeding the empty centroid
@@ -104,8 +105,10 @@ def lloyd(
         kernel: assignment backend — a name from
             :func:`~repro.core.kernels.available_kernels`, a
             :class:`~repro.core.kernels.LloydKernel` instance, or ``None``
-            to consult ``REPRO_KMEANS_KERNEL`` and fall back to the dense
-            reference.  Exact backends produce bit-identical results;
+            to consult ``REPRO_KMEANS_KERNEL`` and then pick by size:
+            ``elkan`` when ``n·k`` reaches
+            ``repro.core.kernels._BOUNDS_MIN_PAIRS``, ``dense`` below.
+            Exact backends produce bit-identical results;
             ``"blas"`` outputs are only tolerance-close (see
             :func:`repro.core.kernels.blas_mse_tolerance`).
         abandon_sse: optional incumbent SSE for restart early-abandoning.
@@ -143,7 +146,7 @@ def lloyd(
     # the points serve as their own weighted copy.
     weighted_pts = pts if weights is None else pts * wts[:, None]
 
-    backend = resolve_kernel(kernel)
+    backend = resolve_kernel(kernel, pairs=n * k)
     backend.start(pts, wts)
     try:
         return _iterate(

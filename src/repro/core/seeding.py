@@ -9,14 +9,17 @@ The paper uses two strategies:
   take into account which data points are likely to represent significant
   cluster centroids already".
 
-k-means++ is included as a modern reference strategy for the ablation
-benchmarks.
+Two modern strategies ride along: k-means++, which seeds the serial
+whole-cell oracle and reduces k-means||'s candidates, and k-means||
+(Bahmani et al.), the shard runtime's default.  Every D² distance they
+compute is a ``cdist`` value, as in the Lloyd kernels.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.kernels import _assign_rows, _pair_sq_distances
 from repro.core.model import as_points, as_weights
 
 __all__ = [
@@ -96,7 +99,13 @@ def kmeans_plus_plus_seeds(
 ) -> np.ndarray:
     """D^2-weighted (k-means++) seeding, optionally weight-aware.
 
-    Not used by the paper; provided for the seeding ablation benchmark.
+    Not the paper's seeding, but more than an ablation: it seeds the
+    serial whole-cell oracle the end-to-end benchmark scores against,
+    reduces the oversampled candidates of :func:`kmeans_parallel_seeds`,
+    and is selectable for partials as ``seeding="kmeans++"``.  Each D²
+    update is one ``cdist`` row (``_pair_sq_distances``).  Below 8
+    dimensions that has the bits of numpy's broadcast square-and-sum;
+    from 8 up numpy's unrolled sum may round the last ulp differently.
     """
     pts = as_points(points)
     wts = as_weights(weights, pts.shape[0])
@@ -106,7 +115,7 @@ def kmeans_plus_plus_seeds(
     probs = wts / wts.sum()
     first = int(rng.choice(n, p=probs))
     seeds = [pts[first]]
-    closest_sq = ((pts - pts[first]) ** 2).sum(axis=1)
+    closest_sq = _pair_sq_distances(pts, pts[first])
 
     while len(seeds) < kk:
         mass = closest_sq * wts
@@ -119,7 +128,7 @@ def kmeans_plus_plus_seeds(
             break
         nxt = int(rng.choice(n, p=mass / total))
         seeds.append(pts[nxt])
-        closest_sq = np.minimum(closest_sq, ((pts - pts[nxt]) ** 2).sum(axis=1))
+        np.minimum(closest_sq, _pair_sq_distances(pts, pts[nxt]), out=closest_sq)
 
     return np.asarray(seeds, dtype=np.float64)
 
@@ -168,7 +177,7 @@ def kmeans_parallel_seeds(
     probs = wts / wts.sum()
     first = int(rng.choice(n, p=probs))
     chosen = {first}
-    closest_sq = ((pts - pts[first]) ** 2).sum(axis=1)
+    closest_sq = _pair_sq_distances(pts, pts[first])
 
     for _ in range(rounds):
         cost = float((closest_sq * wts).sum())
@@ -181,10 +190,12 @@ def kmeans_parallel_seeds(
         if not fresh:
             continue
         chosen.update(fresh)
-        dist_new = ((pts[None, :, :] - pts[fresh][:, None, :]) ** 2).sum(
-            axis=2
-        )
-        closest_sq = np.minimum(closest_sq, dist_new.min(axis=0))
+        # One candidate at a time: O(n) memory, and the minimum of the
+        # same values whatever the order.
+        for index in fresh:
+            np.minimum(
+                closest_sq, _pair_sq_distances(pts, pts[index]), out=closest_sq
+            )
 
     candidates = np.array(sorted(chosen), dtype=np.intp)
     cand_pts = pts[candidates]
@@ -197,9 +208,10 @@ def kmeans_parallel_seeds(
         return np.concatenate([cand_pts, pts[extra]], axis=0)
 
     # Weight every candidate by the point mass it attracts, then recluster
-    # the small candidate set down to k with mass-aware k-means++.
-    dist = ((pts[:, None, :] - cand_pts[None, :, :]) ** 2).sum(axis=2)
-    owner = dist.argmin(axis=1)
+    # the small candidate set down to k with mass-aware k-means++.  The
+    # owners come from the kernels' tiled pass (first-index argmin).
+    owner = np.empty(n, dtype=np.intp)
+    _assign_rows(pts, cand_pts, 0, n, owner, np.empty(n, dtype=np.float64))
     cand_wts = np.bincount(owner, weights=wts, minlength=candidates.shape[0])
     cand_wts = np.maximum(cand_wts, np.finfo(np.float64).tiny)
     return kmeans_plus_plus_seeds(cand_pts, kk, rng, weights=cand_wts)

@@ -532,7 +532,7 @@ class Query:
         printer(
             f"  -> partial_kmeans(k={cluster.get('k')}, "
             f"restarts={cluster.get('restarts')}, "
-            f"kernel={state.kernel or 'dense'})"
+            f"kernel={state.kernel or 'default'})"
         )
         printer(f"  -> merge_kmeans(k={merge_k})")
         graph = self._build_graph()

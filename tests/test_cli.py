@@ -7,6 +7,9 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.data.generator import generate_cell_points
+from repro.data.gridcell import GridCell, GridCellId
+from repro.data.gridio import write_bucket_dir
 from repro.stream.checkpoint import read_journal
 
 
@@ -401,3 +404,62 @@ class TestCheckpointCli:
         out = capsys.readouterr().out
         assert "quarantined: 1 file(s)" in out
         assert (buckets / "quarantine" / "bad.gbk").exists()
+
+
+class TestKernelFlag:
+    """``--kernel`` unset means the size rule; a named kernel is forced.
+
+    The flag defaults to ``None`` so that ``lloyd`` can pick by size, and
+    every command hands an explicit name — ``dense`` included — to the
+    layer that runs k-means unchanged.
+    """
+
+    class Reached(Exception):
+        """Raised by a stand-in once it has recorded its ``kernel``."""
+
+    @pytest.mark.parametrize("command", ["query", "cluster", "serve"])
+    def test_default_is_none_and_names_parse_verbatim(self, command):
+        parser = build_parser()
+        assert parser.parse_args([command, "somewhere"]).kernel is None
+        for name in ("dense", "elkan", "blas"):
+            args = parser.parse_args([command, "somewhere", "--kernel", name])
+            assert args.kernel == name
+
+    def _stand_in(self, seen):
+        def record(*args, kernel="missing", **kwargs):
+            seen.append(kernel)
+            raise self.Reached
+
+        return record
+
+    @pytest.mark.parametrize(
+        "flag, want", [([], None), (["--kernel", "dense"], "dense")]
+    )
+    @pytest.mark.parametrize("command", ["query", "cluster", "serve"])
+    def test_each_command_passes_the_kernel_through(
+        self, command, flag, want, tmp_path, monkeypatch
+    ):
+        import repro.cli as cli
+        import repro.serve as serve
+        from repro.stream.query import Query
+
+        seen: list = []
+        stand_in = self._stand_in(seen)
+        if command == "query":
+            monkeypatch.setattr(
+                Query, "with_kernel", lambda self, kernel: stand_in(kernel=kernel)
+            )
+            argv = ["query", str(tmp_path), "--k", "4", "--chunks", "2"]
+        elif command == "cluster":
+            bucket = write_bucket_dir(
+                tmp_path,
+                [GridCell(GridCellId(1, 2), generate_cell_points(200, seed=1))],
+            )[0]
+            monkeypatch.setattr(cli, "SerialKMeans", stand_in)
+            argv = ["cluster", str(bucket), "--k", "4"]
+        else:
+            monkeypatch.setattr(serve, "ModelRegistry", stand_in)
+            argv = ["serve", str(tmp_path), "--k", "4"]
+        with pytest.raises(self.Reached):
+            main(argv + flag)
+        assert seen == [want]

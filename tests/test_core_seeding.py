@@ -215,3 +215,122 @@ class TestResolveStrategy:
     def test_unknown_raises(self):
         with pytest.raises(ValueError, match="unknown seeding strategy"):
             resolve_strategy("weights")
+
+
+# The seeders' D² steps before they went through ``cdist``: kept here,
+# verbatim, as the reference the cdist forms must reproduce bit for bit
+# (below 8 dimensions, where numpy's sum over a row runs in order).
+
+
+def _broadcast_kmeans_plus_plus(points, k, rng, weights=None):
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    wts = np.ones(n) if weights is None else np.asarray(weights, np.float64)
+    kk = min(k, n)
+    probs = wts / wts.sum()
+    first = int(rng.choice(n, p=probs))
+    seeds = [pts[first]]
+    closest_sq = ((pts - pts[first]) ** 2).sum(axis=1)
+    while len(seeds) < kk:
+        mass = closest_sq * wts
+        total = mass.sum()
+        if total <= 0.0:
+            remaining = kk - len(seeds)
+            idx = rng.choice(n, size=remaining, replace=False)
+            seeds.extend(pts[i] for i in idx)
+            break
+        nxt = int(rng.choice(n, p=mass / total))
+        seeds.append(pts[nxt])
+        closest_sq = np.minimum(closest_sq, ((pts - pts[nxt]) ** 2).sum(axis=1))
+    return np.asarray(seeds, dtype=np.float64)
+
+
+def _broadcast_kmeans_parallel(points, k, rng, weights=None, rounds=5):
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    wts = np.ones(n) if weights is None else np.asarray(weights, np.float64)
+    kk = min(k, n)
+    ell = 2.0 * kk
+    probs = wts / wts.sum()
+    first = int(rng.choice(n, p=probs))
+    chosen = {first}
+    closest_sq = ((pts - pts[first]) ** 2).sum(axis=1)
+    for _ in range(rounds):
+        cost = float((closest_sq * wts).sum())
+        if cost <= 0.0:
+            break
+        p = np.minimum(1.0, ell * closest_sq * wts / cost)
+        drawn = np.flatnonzero(rng.random(n) < p)
+        fresh = [int(i) for i in drawn if int(i) not in chosen]
+        if not fresh:
+            continue
+        chosen.update(fresh)
+        dist_new = ((pts[None, :, :] - pts[fresh][:, None, :]) ** 2).sum(
+            axis=2
+        )
+        closest_sq = np.minimum(closest_sq, dist_new.min(axis=0))
+    candidates = np.array(sorted(chosen), dtype=np.intp)
+    cand_pts = pts[candidates]
+    if candidates.shape[0] <= kk:
+        if candidates.shape[0] == kk:
+            return cand_pts.copy()
+        pool = np.setdiff1d(np.arange(n), candidates, assume_unique=True)
+        extra = rng.choice(pool, size=kk - candidates.shape[0], replace=False)
+        return np.concatenate([cand_pts, pts[extra]], axis=0)
+    dist = ((pts[:, None, :] - cand_pts[None, :, :]) ** 2).sum(axis=2)
+    owner = dist.argmin(axis=1)
+    cand_wts = np.bincount(owner, weights=wts, minlength=candidates.shape[0])
+    cand_wts = np.maximum(cand_wts, np.finfo(np.float64).tiny)
+    return _broadcast_kmeans_plus_plus(cand_pts, kk, rng, weights=cand_wts)
+
+
+def _seed_inputs():
+    """(points, weights) cases: MISR-shaped cells, 2-D blobs, coincident."""
+    from repro.data.generator import generate_cell_points
+
+    cells = [
+        generate_cell_points(3_000, seed=8, dim=6),
+        generate_cell_points(700, seed=9, dim=7),
+        np.random.default_rng(4).normal(scale=30.0, size=(500, 2)),
+        # Three distinct values repeated: D² mass hits 0 before k seeds.
+        np.repeat(np.array([[0.0, 1.0], [5.0, 5.0], [9.0, -3.0]]), 40, axis=0),
+    ]
+    for points in cells:
+        weights = np.random.default_rng(points.shape[0]).uniform(
+            0.25, 4.0, points.shape[0]
+        )
+        yield points, None
+        yield points, weights
+
+
+class TestSeedsMatchTheBroadcastFormulas:
+    @pytest.mark.parametrize("case", range(8))
+    def test_kmeans_plus_plus_bits(self, case):
+        points, weights = list(_seed_inputs())[case]
+        for k in (5, 40):
+            got = kmeans_plus_plus_seeds(
+                points, k, np.random.default_rng(case), weights=weights
+            )
+            want = _broadcast_kmeans_plus_plus(
+                points, k, np.random.default_rng(case), weights=weights
+            )
+            assert got.tobytes() == want.tobytes()
+
+    def test_coincident_points_take_the_fill_path(self):
+        points = np.repeat(np.array([[0.0, 1.0], [5.0, 5.0]]), 10, axis=0)
+        seeds = kmeans_plus_plus_seeds(points, 6, np.random.default_rng(1))
+        assert seeds.shape == (6, 2)
+        want = _broadcast_kmeans_plus_plus(points, 6, np.random.default_rng(1))
+        assert seeds.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", range(8))
+    def test_kmeans_parallel_bits(self, case):
+        points, weights = list(_seed_inputs())[case]
+        for k in (5, 40):
+            got = kmeans_parallel_seeds(
+                points, k, np.random.default_rng(case), weights=weights
+            )
+            want = _broadcast_kmeans_parallel(
+                points, k, np.random.default_rng(case), weights=weights
+            )
+            assert got.tobytes() == want.tobytes()

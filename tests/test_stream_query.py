@@ -154,7 +154,7 @@ class TestExplain:
         )
         text = "\n".join(lines)
         assert "logical plan" in text
-        assert "partial_kmeans(k=5, restarts=2, kernel=dense)" in text
+        assert "partial_kmeans(k=5, restarts=2, kernel=default)" in text
         assert "physical plan" in text
         # explain returns the query for chaining
         assert isinstance(query, Query)
