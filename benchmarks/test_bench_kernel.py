@@ -1,4 +1,4 @@
-"""Benchmark: the Lloyd kernels (dense / elkan / blas) across (n, k, d).
+"""Benchmark: the Lloyd kernels (dense / elkan) across (n, k, d).
 
 One fixed-seed Lloyd run per kernel per configuration, from identical
 seeds, on the same synthetic MISR-style mixture the paper's experiments
@@ -9,26 +9,20 @@ things are checked and recorded into ``BENCH_kernel.json``:
 * **bit identity** — ``elkan``'s centroids/assignments/SSE/iterations
   must match the dense reference exactly (the determinism contract the
   engine's resume and cross-backend guarantees rest on);
-* **tolerance** — ``blas`` must land within
-  :func:`repro.core.kernels.blas_mse_tolerance` of the dense MSE on
-  every row;
 * **counter-verified work reduction** — on the flagship n=50k, k=40 row
   ``elkan`` must *compute strictly fewer distance evaluations* than
   dense with exact ``computed + skipped == dense`` accounting (wall time
   can lie, counters cannot);
 * **work-reduction speed-up** — at the flagship config ``elkan`` must be
-  >= 3x and ``blas`` >= 5x the *serial* dense reference (``dense`` with
-  a helper budget of 0): those gates measure skipped work, not cores;
-* **parallel dense** — at the flagship config ``dense`` on every usable
-  CPU must be >= 1.25x serial dense, gated only where there are >= 2
-  CPUs to use.
+  >= 3x the ``dense`` reference: the gate measures skipped work, one
+  core against one core.
 
 The rows at k=40, d=6, ``max_iter=25`` are the shapes the pipeline's
 partitions actually issue (250 to 25 000 points per ``lloyd`` call), with
 2 000 and 8 000 / 12 000 / 16 000 to pin the crossover; the 75 000 ×
 ``max_iter=40`` row is the end-to-end benchmark's serial oracle.  Every
-row records a ``fastest_exact`` (parallel ``dense`` vs ``elkan``, as the
-pipeline runs them) and the ``default_pick``: the kernel ``lloyd`` runs
+row records a ``fastest_exact`` (``dense`` vs ``elkan``) and the
+``default_pick``: the kernel ``lloyd`` runs
 there when none is named (``elkan`` from ``_BOUNDS_MIN_PAIRS`` n·k pairs
 up, read off the k=40 rows).  **Default gate** (when ``meaningful``): on
 every k=40 row the default's wall is at most 1.1x the fastest exact
@@ -49,18 +43,14 @@ single-CPU host are reported either way, but flagged).
 from __future__ import annotations
 
 import json
+import os
 import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.kernels import (
-    assign_helper_budget,
-    blas_mse_tolerance,
-    resolve_kernel,
-    set_assign_helper_budget,
-)
+from repro.core.kernels import resolve_kernel
 from repro.core.kmeans import lloyd
 from repro.data.generator import generate_cell_points
 
@@ -90,11 +80,9 @@ _GRID = [
     (50_000, 40, 6, _MAX_ITER, _ROUNDS),
 ]
 _FLAGSHIP = _GRID[-1]
-#: ``dense_serial`` is ``dense`` with the helper budget at 0: the
-#: reference every ``speedup_vs_dense`` is taken against.
-_KERNELS = ("dense_serial", "dense", "elkan", "blas")
-_EXACT_KERNELS = ("dense", "elkan")
-_REFERENCE = "dense_serial"
+#: ``dense`` is the reference every ``speedup_vs_dense`` is taken against.
+_KERNELS = ("dense", "elkan")
+_REFERENCE = "dense"
 #: On the k of the rows the rule is read from, the default may cost at
 #: most this much over the fastest exact kernel.
 _DEFAULT_SLACK = 1.1
@@ -128,25 +116,18 @@ def _blas_backend() -> str:
 
 def _run_one(points, seeds, kernel, max_iter, rounds):
     """Best wall of ``rounds`` runs, then one untimed run's traced peak."""
-    budget = assign_helper_budget()
-    if kernel == _REFERENCE:
-        kernel = "dense"
-        set_assign_helper_budget(0)
     best_wall = float("inf")
     result = None
+    for _ in range(rounds):
+        started = time.perf_counter()
+        result = lloyd(points, seeds, max_iter=max_iter, kernel=kernel)
+        best_wall = min(best_wall, time.perf_counter() - started)
+    tracemalloc.start()
     try:
-        for _ in range(rounds):
-            started = time.perf_counter()
-            result = lloyd(points, seeds, max_iter=max_iter, kernel=kernel)
-            best_wall = min(best_wall, time.perf_counter() - started)
-        tracemalloc.start()
-        try:
-            lloyd(points, seeds, max_iter=max_iter, kernel=kernel)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        lloyd(points, seeds, max_iter=max_iter, kernel=kernel)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        set_assign_helper_budget(budget)
+        tracemalloc.stop()
     return result, best_wall, peak / 2**20
 
 
@@ -179,22 +160,13 @@ def test_bench_kernel(benchmark):
             walls[kernel] = wall
             peaks[kernel] = peak
 
-        dense = results[_REFERENCE]
-        for exact in _EXACT_KERNELS:
-            alt = results[exact]
-            assert alt.assignments.tobytes() == dense.assignments.tobytes(), config
-            assert alt.centroids.tobytes() == dense.centroids.tobytes(), config
-            assert alt.sse == dense.sse, config
-            assert alt.iterations == dense.iterations, config
+        dense, elkan = results["dense"], results["elkan"]
+        assert elkan.assignments.tobytes() == dense.assignments.tobytes(), config
+        assert elkan.centroids.tobytes() == dense.centroids.tobytes(), config
+        assert elkan.sse == dense.sse, config
+        assert elkan.iterations == dense.iterations, config
 
-        # The blas tier waives bit-identity; its MSE must stay within the
-        # documented tolerance of the dense reference.
-        blas = results["blas"]
-        blas_tol = blas_mse_tolerance(points, dense.mse)
-        blas_mse_error = abs(blas.mse - dense.mse)
-        assert blas_mse_error <= blas_tol, (n, k, d, blas.mse, dense.mse)
-
-        fastest = min(_EXACT_KERNELS, key=walls.__getitem__)
+        fastest = min(_KERNELS, key=walls.__getitem__)
         default_pick = resolve_kernel(None, pairs=n * k).name
 
         row = {
@@ -206,14 +178,11 @@ def test_bench_kernel(benchmark):
             "iterations": dense.iterations,
             "converged": dense.converged,
             "exact_bit_identical": True,
-            "blas_mse_error": blas_mse_error,
-            "blas_mse_tolerance": blas_tol,
             "fastest_exact": fastest,
             "default_pick": default_pick,
             "default_over_fastest": walls[default_pick] / walls[fastest],
             "kernels": {
                 kernel: {
-                    "exact": kernel != "blas",
                     "wall_seconds": walls[kernel],
                     "speedup_vs_dense": (
                         walls[_REFERENCE] / walls[kernel]
@@ -245,9 +214,8 @@ def test_bench_kernel(benchmark):
     assert flagship_row is not None
     kernels = flagship_row["kernels"]
     dense = kernels[_REFERENCE]
-    # The CPUs this process may use (its affinity mask), which is what the
-    # dense kernel's helper budget is derived from.
-    host_cpus = assign_helper_budget() + 1
+    # The CPUs this process may use (its affinity mask).
+    host_cpus = len(os.sched_getaffinity(0))
     meaningful = host_cpus >= 2
     payload = {
         "host_cpus": host_cpus,
@@ -257,11 +225,9 @@ def test_bench_kernel(benchmark):
         # but a multi-tenant or hyper-threaded-only host can still skew
         # them; flag single-core hosts honestly like the other ledgers.
         "meaningful": meaningful,
-        "speedup_reference": "dense_serial: dense with a helper budget of 0",
+        "speedup_reference": "dense",
         "flagship": {"n": _FLAGSHIP[0], "k": _FLAGSHIP[1], "d": _FLAGSHIP[2]},
         "flagship_elkan_speedup": kernels["elkan"]["speedup_vs_dense"],
-        "flagship_blas_speedup": kernels["blas"]["speedup_vs_dense"],
-        "dense_parallel_speedup": kernels["dense"]["speedup_vs_dense"],
         "rows": rows,
     }
     (_REPO_ROOT / "BENCH_kernel.json").write_text(
@@ -282,15 +248,11 @@ def test_bench_kernel(benchmark):
         + counters["distance_evals_skipped"]
         == dense["counters"]["distance_evals_computed"]
     )
-    # The elkan group bounds and the blas GEMM counters must be live.
+    # The elkan group bounds must be live.
     assert counters["bound_groups"] > 0
-    assert kernels["blas"]["counters"]["gemm_calls"] > 0
-    # The acceptance gates (flagship row only): elkan >= 3x and blas >= 5x
-    # serial dense; dense on every usable CPU >= 1.25x serial dense.
+    # The acceptance gate (flagship row only): elkan >= 3x dense.
     assert kernels["elkan"]["speedup_vs_dense"] >= 3.0
-    assert kernels["blas"]["speedup_vs_dense"] >= 5.0
     if meaningful:
-        assert kernels["dense"]["speedup_vs_dense"] >= 1.25
         # The size rule: whichever exact kernel the default picks is
         # within the slack of the faster one, on every k=40 row.
         slow = [

@@ -484,13 +484,10 @@ def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
         "--kernel",
         choices=available_kernels(),
         default=None,
-        help="Lloyd assignment kernel for all k-means stages (and serving "
-        "assigns); unset, REPRO_KMEANS_KERNEL decides, else each run's size "
-        "(elkan for large passes, dense for small ones); the exact kernels "
-        "(dense/elkan) are bit-identical, so they only change speed "
-        "(counters in the metrics show what they saved); 'blas' is the "
-        "float32 GEMM kernel, whose results are only "
-        "MSE-tolerance-close to the reference",
+        help="Lloyd assignment kernel for all k-means stages; unset, "
+        "REPRO_KMEANS_KERNEL decides, else each run's size (elkan for large "
+        "passes, dense for small ones); the two are bit-identical, so they "
+        "only change speed (counters in the metrics show what they saved)",
     )
 
 

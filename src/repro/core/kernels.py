@@ -1,19 +1,15 @@
-"""Pluggable Lloyd-iteration backends: two exact kernels and ``blas``.
+"""Pluggable Lloyd-iteration backends: two exact, bit-identical kernels.
 
 Every stage of the pipeline — the serial baseline, the partial operator,
 and the merge operator — funnels through :func:`repro.core.kmeans.lloyd`,
 which delegates the per-iteration *assignment step* to one of the kernels
 defined here.
 
-**Exact kernels (bit-identical to each other):**
-
 * ``dense`` — the reference, and the default for small runs: every
   (point, centroid) distance by ``cdist`` per iteration, exactly the
-  seed implementation's behaviour, scored in row tiles of at most
-  ``_TILE_BYTES``.  Large passes are split into row blocks scored on
-  helper threads, one per usable CPU beyond the caller's
-  (:class:`DenseKernel`); neither the tiles nor the split change a bit
-  of the output.
+  seed implementation's behaviour, scored on the caller's thread in row
+  tiles of at most ``_TILE_BYTES`` (:class:`DenseKernel`); the tiles do
+  not change a bit of the output.
 * ``elkan`` — a Yinyang-style group-bounds kernel: each point keeps one
   lower bound per *group* of ``≈ 8`` centroids, deflated by that
   group's own maximum drift, plus an Elkan-style inter-centroid filter;
@@ -21,18 +17,10 @@ defined here.
   (:class:`ElkanKernel`).  The default for runs of at least
   ``_BOUNDS_MIN_PAIRS`` (point, centroid) pairs.
 
-**Tolerance-close kernel:**
-
-* ``blas`` — a float32 GEMM kernel over ``_TILE_BYTES`` row blocks,
-  restricted to the survivors of the same group bounds, with exact
-  float64 refinement of ambiguous winners and an algebraic SSE
-  (:class:`BlasKernel`; :func:`blas_mse_tolerance` documents the error
-  bound).
-
-**Determinism contract (exact kernels).**  ``dense`` and ``elkan``
-produce bit-identical ``assignments``, per-point squared distances, and
-therefore ``centroids``, ``sse`` and ``iterations``, including
-``np.argmin``'s first-index tie-breaking.  Two mechanisms enforce this:
+**Determinism contract.**  ``dense`` and ``elkan`` produce bit-identical
+``assignments``, per-point squared distances, and therefore
+``centroids``, ``sse`` and ``iterations``, including ``np.argmin``'s
+first-index tie-breaking.  Two mechanisms enforce this:
 
 1. every distance value that can influence an output is produced by
    ``scipy.spatial.distance.cdist(..., "sqeuclidean")`` on float64
@@ -44,14 +32,6 @@ therefore ``centroids``, ``sse`` and ``iterations``, including
    drift-update and float32-storage error, so a pruned point is
    *provably* strictly closest to its kept centroid — no tie possible.
 
-The ``blas`` kernel deliberately waives this contract for raw speed.
-Naming it *is* the waiver — nothing selects it implicitly — and every
-artefact of such a run says so: ``KMeansResult.kernel``, the
-``KernelCounters`` in messages, journal and trace, the ``gemm=`` /
-``refined=`` figures in the metrics summary.  Each kernel class carries
-``exact`` so callers that must route on the tier read it off the
-resolved kernel.
-
 Kernel selection: pass ``kernel=`` (a name or a :class:`LloydKernel`
 instance) or set ``REPRO_KMEANS_KERNEL``; the explicit argument wins.
 With neither, :func:`resolve_kernel` picks by the run's size — ``elkan``
@@ -60,20 +40,18 @@ which changes no bit, only the time.  Unknown names raise a
 ``ValueError`` naming the bad value, the valid kernels, and — when the
 name came from the environment — the variable itself.
 
-Centroid aggregation for exact kernels uses one ``np.bincount`` per
-dimension (:func:`aggregate_weighted_sums`) — the same sequential
-accumulation order as the seed's ``np.add.at``, so bit-identical sums.
-The ``elkan`` kernel re-sums only clusters whose *membership changed*
-(a subset ``bincount`` over their members preserves per-bin accumulation
-order, hence bits); unchanged clusters reuse cached sums verbatim.
+Centroid aggregation uses one ``np.bincount`` per dimension
+(:func:`aggregate_weighted_sums`) — the same sequential accumulation
+order as the seed's ``np.add.at``, so bit-identical sums.  The ``elkan``
+kernel re-sums only clusters whose *membership changed* (a subset
+``bincount`` over their members preserves per-bin accumulation order,
+hence bits); unchanged clusters reuse cached sums verbatim.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -85,14 +63,9 @@ __all__ = [
     "LloydKernel",
     "DenseKernel",
     "ElkanKernel",
-    "BlasKernel",
     "available_kernels",
     "resolve_kernel",
     "aggregate_weighted_sums",
-    "assign_helper_budget",
-    "set_assign_helper_budget",
-    "blas_assign_to_nearest",
-    "blas_mse_tolerance",
 ]
 
 #: Environment variable selecting the default kernel.
@@ -112,29 +85,12 @@ _GUARD = 1e-9
 #: still pruning everything not within 4e-6 relative of a tie.
 _GUARD32 = 4e-6
 
-#: blas tier: pruning guard (relative).  Mis-pruning only costs accuracy
-#: here (never correctness), so the guard merely keeps the error within
-#: the documented tolerance.
-_BLAS_GUARD = 1e-5
-
-#: blas tier: float32 winner margins below this relative threshold are
-#: re-resolved with exact float64 rows (float32 score error is a small
-#: multiple of ``eps32 · (‖x‖² + ‖c‖²)``; 1e-5 exceeds it by ~2 orders).
-_BLAS_MARGIN = 1e-5
-
-#: A dense pass over at least this many (point, centroid) pairs is split
-#: into contiguous row blocks, one per granted helper thread plus the
-#: caller.  Measured break-even at k = 40, d = 6 on a 2-vCPU host: 1 000
-#: points (40 000 pairs) lose, 2 000 gain 1.1x, 4 000 1.45x, 25 000 1.4x.
-#: Every block keeps at least half this many pairs.
-_SPLIT_MIN_PAIRS = 100_000
-
-#: Byte budget for one live score block, shared by every kernel: a pass
+#: Byte budget for one live score block, shared by both kernels: a pass
 #: scores at most this much of its (points × centroids) matrix at once,
-#: so its working set is the points, O(n) buffers and one tile per
-#: thread.  Tiles of 1 MiB (3 276 float64 rows at k = 40) measured
-#: within 3 % of 4 MiB tiles and of the untiled pass, for every kernel,
-#: at 4 000 to 50 000 points on a 2-vCPU host.
+#: so its working set is the points, O(n) buffers and one tile.  Tiles
+#: of 1 MiB (3 276 float64 rows at k = 40) measured within 3 % of 4 MiB
+#: tiles and of the untiled pass, for every kernel, at 4 000 to 50 000
+#: points on a 2-vCPU host.
 _TILE_BYTES = 1 << 20
 
 #: With no kernel named, a ``lloyd`` run whose passes score at least
@@ -147,65 +103,9 @@ _TILE_BYTES = 1 << 20
 _BOUNDS_MIN_PAIRS = 80_000
 
 
-def _tile_rows(k: int, itemsize: int = 8) -> int:
-    """Rows per tile so a ``(rows, k)`` block of ``itemsize``-byte scores fits."""
-    return max(1, _TILE_BYTES // (itemsize * max(1, k)))
-
-
-class _HelperBudget:
-    """Process-wide count of assignment helper threads that may run.
-
-    A pass try-acquires what it wants and never waits: concurrent
-    ``lloyd`` calls (thread clones, serving) share the CPUs instead of
-    oversubscribing them, and whoever finds the budget spent runs
-    serially.
-    """
-
-    def __init__(self, size: int) -> None:
-        self._lock = threading.Lock()
-        self.size = size
-        self._in_use = 0
-
-    def resize(self, size: int) -> None:
-        """Set the budget; slots held by running passes stay theirs."""
-        with self._lock:
-            self.size = max(0, size)
-
-    def try_acquire(self, want: int) -> int:
-        """Grant up to ``want`` helpers (possibly 0) without blocking."""
-        with self._lock:
-            granted = max(0, min(want, self.size - self._in_use))
-            self._in_use += granted
-            return granted
-
-    def release(self, count: int) -> None:
-        with self._lock:
-            self._in_use -= count
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without affinity masks
-        return os.cpu_count() or 1
-
-
-#: One helper per usable CPU beyond the caller's own.
-_ASSIGN_HELPERS = _HelperBudget(_usable_cpus() - 1)
-
-
-def assign_helper_budget() -> int:
-    """Helper threads one dense assignment pass may add in this process."""
-    return _ASSIGN_HELPERS.size
-
-
-def set_assign_helper_budget(size: int) -> None:
-    """Resize this process's helper budget.
-
-    Worker processes of the ``processes`` and shard backends set it to 0
-    at bootstrap: the processes already are the parallelism.
-    """
-    _ASSIGN_HELPERS.resize(size)
+def _tile_rows(k: int) -> int:
+    """Rows per tile so a ``(rows, k)`` block of float64 scores fits."""
+    return max(1, _TILE_BYTES // (8 * max(1, k)))
 
 
 @dataclass
@@ -222,12 +122,8 @@ class KernelCounters:
             candidate scan in some iteration.
         assign_calls: kernel assignment passes executed.
         assign_seconds: wall time spent inside assignment passes.
-        gemm_calls: BLAS GEMM invocations (blas kernel row blocks).
-        refine_rows: rows whose float32 margin was ambiguous and were
-            re-resolved with exact float64 distances (blas kernel).
         bound_groups: centroid groups whose lower bounds were maintained,
-            summed over assignment passes (elkan/blas; 0 for ungrouped
-            kernels).
+            summed over assignment passes (elkan; 0 for dense).
     """
 
     kernel: str = "dense"
@@ -236,8 +132,6 @@ class KernelCounters:
     bound_check_hits: int = 0
     assign_calls: int = 0
     assign_seconds: float = 0.0
-    gemm_calls: int = 0
-    refine_rows: int = 0
     bound_groups: int = 0
 
     def merge(self, other: "KernelCounters | None") -> None:
@@ -262,8 +156,9 @@ class KernelCounters:
         """Rebuild counters from :meth:`as_dict` output (``None`` passes)."""
         if payload is None:
             return None
-        # The kernel name is a label, kept verbatim and never resolved:
-        # journals written by retired kernels must keep replaying.
+        # The kernel name is a label, kept verbatim and never resolved,
+        # and fields this version does not know are dropped: journals
+        # written by retired kernels must keep replaying.
         known = {f.name for f in fields(KernelCounters)}
         return KernelCounters(
             **{key: value for key, value in payload.items() if key in known}
@@ -402,49 +297,31 @@ def _half_nearest_centroid(centroids: np.ndarray) -> np.ndarray:
     return 0.5 * cc.min(axis=1)
 
 
-def _augment_points32(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """float32 ``(x | 1)`` GEMM operand and float32 ``‖x‖²`` per row."""
-    n, dim = points.shape
-    paug = np.empty((n, dim + 1), dtype=np.float32)
-    paug[:, :dim] = points
-    paug[:, dim] = 1.0
-    p32 = paug[:, :dim]
-    return paug, np.einsum("ij,ij->i", p32, p32, dtype=np.float32)
-
-
 class LloydKernel:
     """One Lloyd assignment backend; holds per-run state between iterations.
 
     Lifecycle (driven by :func:`repro.core.kmeans.lloyd`)::
 
-        kernel.start(points, weights)
+        kernel.start(points)
         repeat:
             assignments, sq_dists = kernel.assign(centroids)
             # (empty-cluster repair mutates centroids -> kernel.invalidate())
             sums = kernel.aggregate(weighted_points, assignments, k)
             kernel.notify_update(old_centroids, new_centroids)
-        kernel.finish()  # always, also when the run raises
 
-    ``exact`` declares the tier: exact kernels are bit-identical to the
-    dense reference; the others trade bit-identity for speed and are
-    only ever selected by name.
-
-    ``lloyd`` calls :meth:`finish` in a ``finally``, so no helper thread a
-    run started outlives it.  Kernel instances are single-run and not
-    thread-safe; ``resolve_kernel`` hands out a fresh instance per
-    ``lloyd`` call.
+    Every kernel is bit-identical to the dense reference.  Kernel
+    instances are single-run and not thread-safe; ``resolve_kernel``
+    hands out a fresh instance per ``lloyd`` call.
     """
 
     name = "abstract"
-    #: Whether this kernel honours the bit-identity contract.
-    exact = True
 
     def __init__(self) -> None:
         self.counters = KernelCounters(kernel=self.name)
         self._points: np.ndarray | None = None
         self._reset()
 
-    def start(self, points: np.ndarray, weights: np.ndarray) -> None:
+    def start(self, points: np.ndarray) -> None:
         """Begin a run over ``points`` (already float64 C-contiguous)."""
         self._points = points
         self.counters = KernelCounters(kernel=self.name)
@@ -467,11 +344,7 @@ class LloydKernel:
             self.counters.assign_seconds += time.perf_counter() - started
 
     def _assign(self, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One assignment pass.
-
-        Exact kernels must be bit-identical to ``cdist`` + first-index
-        ``argmin``.
-        """
+        """One pass, bit-identical to ``cdist`` + first-index ``argmin``."""
         raise NotImplementedError
 
     def aggregate(
@@ -481,26 +354,10 @@ class LloydKernel:
 
         The base implementation is the shared bit-exact ``bincount``
         aggregation; kernels may override it with something faster as
-        long as they keep their tier's accuracy contract.  The returned
-        array may be kernel-owned — callers must not mutate it.
+        long as it keeps the bits.  The returned array may be
+        kernel-owned — callers must not mutate it.
         """
         return aggregate_weighted_sums(weighted_points, assignments, k)
-
-    def compute_sse(
-        self, weights: np.ndarray, sq_dists: np.ndarray
-    ) -> float:
-        """Weighted SSE of the last assignment pass.
-
-        The base implementation is numpy's pairwise sum of the weighted
-        per-point squared distances — not a BLAS dot product, whose bits
-        change with the BLAS thread count and whose thread pool would
-        hold a core the assignment pass wants.  The ``blas`` tier
-        overrides it with an algebraic per-cluster form so pruned rows
-        never need their stored distance refreshed.  ``lloyd`` calls this
-        after :meth:`aggregate` each iteration and once after the final
-        pass.
-        """
-        return float(np.multiply(weights, sq_dists).sum())
 
     def cluster_mass(
         self, weights: np.ndarray, assignments: np.ndarray, k: int
@@ -524,157 +381,53 @@ class LloydKernel:
     def invalidate(self) -> None:
         """Drop cached bounds (an empty-cluster repair teleported a centroid)."""
 
-    def finish(self) -> None:
-        """End the run: join any helper threads it started (idempotent)."""
-
 
 def _assign_rows(
-    points: np.ndarray,
-    centroids: np.ndarray,
-    lo: int,
-    hi: int,
-    assignments: np.ndarray,
-    sq_dists: np.ndarray,
-) -> None:
-    """Dense assignment of rows ``[lo, hi)``, written into their slices.
+    points: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The dense pass: ``(assignments, sq_dists)`` of every row.
 
     The rows are scored one ``_TILE_BYTES`` tile at a time.  ``cdist``
-    evaluates pairs independently and ``argmin`` is per row, so any split
-    of the rows — into helper blocks or tiles — yields the bits of one
-    full pass.
+    evaluates pairs independently and ``argmin`` is per row, so the tiles
+    yield the bits of one full pass.
     """
+    n = points.shape[0]
+    assignments = np.empty(n, dtype=np.intp)
+    sq_dists = np.empty(n, dtype=np.float64)
     step = _tile_rows(centroids.shape[0])
-    for start in range(lo, hi, step):
-        stop = min(hi, start + step)
+    for start in range(0, n, step):
+        stop = min(n, start + step)
         d2 = cdist(points[start:stop], centroids, metric="sqeuclidean")
         rows = assignments[start:stop]
         np.argmin(d2, axis=1, out=rows)
         sq_dists[start:stop] = d2[np.arange(stop - start), rows]
+    return assignments, sq_dists
 
 
 class DenseKernel(LloydKernel):
     """The reference kernel: every (point, centroid) pair, every iteration.
 
-    Each pass scores all ``n·k`` pairs with ``cdist``, one tile at a time
-    (:func:`_assign_rows`).  A pass of at least ``_SPLIT_MIN_PAIRS``
-    pairs is split into contiguous row blocks: the caller scores one,
-    helper threads (``lloyd-assign_N``, granted by the process-wide
-    budget) the rest.  ``cdist`` releases the GIL, so the blocks run on
-    separate cores.
-    The helpers belong to the run: started on its first split pass,
-    joined by :meth:`finish`.
+    Each pass scores all ``n·k`` pairs with ``cdist`` on the caller's
+    thread, one tile at a time (:func:`_assign_rows`).
     """
 
     name = "dense"
 
-    def __init__(self) -> None:
-        self._helpers: ThreadPoolExecutor | None = None
-        super().__init__()
-
-    def finish(self) -> None:
-        if self._helpers is not None:
-            self._helpers.shutdown(wait=True)
-            self._helpers = None
-
     def _assign(self, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pts = self._points
-        n, k = pts.shape[0], centroids.shape[0]
-        self.counters.distance_evals_computed += n * k
-        assignments = np.empty(n, dtype=np.intp)
-        sq_dists = np.empty(n, dtype=np.float64)
-        # Blocks of at least half the threshold, so the threshold is the
-        # smallest pass that splits in two.
-        granted = _ASSIGN_HELPERS.try_acquire(2 * n * k // _SPLIT_MIN_PAIRS - 1)
-        if not granted:
-            _assign_rows(pts, centroids, 0, n, assignments, sq_dists)
-            return assignments, sq_dists
-        edges = [(n * b) // (granted + 1) for b in range(granted + 2)]
-        futures = []
-        try:
-            if self._helpers is None:
-                self._helpers = ThreadPoolExecutor(
-                    max(granted, _ASSIGN_HELPERS.size),
-                    thread_name_prefix="lloyd-assign",
-                )
-            for lo, hi in zip(edges[1:-1], edges[2:]):
-                futures.append(self._helpers.submit(
-                    _assign_rows, pts, centroids, lo, hi, assignments, sq_dists
-                ))
-            _assign_rows(pts, centroids, 0, edges[1], assignments, sq_dists)
-            for future in futures:
-                future.result()
-        finally:
-            # Hand the slots back only once no block is still running.
-            wait(futures)
-            _ASSIGN_HELPERS.release(granted)
-        return assignments, sq_dists
+        self.counters.distance_evals_computed += pts.shape[0] * centroids.shape[0]
+        return _assign_rows(pts, centroids)
 
 
-class _GroupBoundsKernel(LloydKernel):
-    """State and bookkeeping shared by the group-bounds kernels.
-
-    One float32 lower bound per point per *centroid group*
-    (:func:`_centroid_groups`), stored un-deflated together with the
-    group's cumulative drift at refresh time; at test time the bound is
-    reconstructed as ``stored − cumulative_drift_now`` — so a centroid
-    update costs ``O(k)``, not ``O(n·G)``.
-    """
-
-    #: Relative inflation of each accumulated group drift, so subtracting
-    #: the accumulated value at test time is strictly conservative.
-    _DRIFT_GUARD = _GUARD
-
-    def _reset(self) -> None:
-        self._assignments: np.ndarray | None = None
-        self._sq_dists: np.ndarray | None = None
-        self._lower: np.ndarray | None = None  # (G, n) float32, +CD offset
-        self._cum_drift: np.ndarray | None = None  # (G,) float64
-        self._gstarts: np.ndarray | None = None
-        self._valid = False
-
-    def _start_group_bounds(self, k: int) -> int:
-        """Lay out the groups for ``k`` centroids; returns their count."""
-        self._gstarts = _centroid_groups(k)
-        n_groups = self._gstarts.size - 1
-        self._cum_drift = np.zeros(n_groups, dtype=np.float64)
-        return n_groups
-
-    def _tightest_group_bound(self) -> np.ndarray:
-        """Per-point minimum over groups of the drift-deflated bounds.
-
-        Stored bounds share a per-group scalar cumulative-drift offset,
-        inflated slightly so the float32 subtraction is strictly
-        conservative.
-        """
-        lower = self._lower
-        adj = self._cum_drift * (1.0 + _GUARD32)
-        lmin = lower[0] - np.float32(adj[0])
-        for g in range(1, lower.shape[0]):
-            np.minimum(lmin, lower[g] - np.float32(adj[g]), out=lmin)
-        return lmin
-
-    def _accumulate_group_drift(
-        self, old_centroids: np.ndarray, new_centroids: np.ndarray
-    ) -> np.ndarray | None:
-        """Fold one centroid update into the per-group cumulative drift.
-
-        Returns the per-centroid drift, or ``None`` when no bounds are
-        live (nothing to maintain until the next full refresh).
-        """
-        if not self._valid or self._lower is None:
-            return None
-        drift = np.sqrt(((new_centroids - old_centroids) ** 2).sum(axis=1))
-        group_drift = np.maximum.reduceat(drift, self._gstarts[:-1])
-        self._cum_drift += group_drift * (1.0 + self._DRIFT_GUARD)
-        return drift
-
-
-class ElkanKernel(_GroupBoundsKernel):
+class ElkanKernel(LloydKernel):
     """Group-bounds (Yinyang-style) kernel for the high-``k`` regime.
 
     State per point: the assignment, the exact squared assigned distance
-    as of the last pass, and the group lower bounds of
-    :class:`_GroupBoundsKernel` (``G ≈ k/8`` groups).  Guard bands
+    as of the last pass, and one float32 lower bound per *centroid group*
+    (:func:`_centroid_groups`, ``G ≈ k/8`` groups), stored un-deflated
+    together with the group's cumulative drift at refresh time.  At test
+    time the bound is reconstructed as ``stored − cumulative_drift_now``,
+    so a centroid update costs ``O(k)``, not ``O(n·G)``.  Guard bands
     (``_GUARD32``) make every float32 rounding strictly conservative.
 
     A pass first makes every point's assigned distance exact again, in
@@ -701,7 +454,12 @@ class ElkanKernel(_GroupBoundsKernel):
     name = "elkan"
 
     def _reset(self) -> None:
-        super()._reset()
+        self._assignments: np.ndarray | None = None
+        self._sq_dists: np.ndarray | None = None
+        self._lower: np.ndarray | None = None  # (G, n) float32, +CD offset
+        self._cum_drift: np.ndarray | None = None  # (G,) float64
+        self._gstarts: np.ndarray | None = None
+        self._valid = False
         self._moved: np.ndarray | None = None
         # Exact incremental aggregation cache.
         self._agg_sums: np.ndarray | None = None
@@ -724,7 +482,9 @@ class ElkanKernel(_GroupBoundsKernel):
         pts = self._points
         assert pts is not None
         n, k = pts.shape[0], centroids.shape[0]
-        n_groups = self._start_group_bounds(k)
+        self._gstarts = _centroid_groups(k)
+        n_groups = self._gstarts.size - 1
+        self._cum_drift = np.zeros(n_groups, dtype=np.float64)
         self._lower = np.full((n_groups, n), np.inf, dtype=np.float32)
         assignments = np.empty(n, dtype=np.intp)
         sq_dists = np.empty(n, dtype=np.float64)
@@ -755,6 +515,20 @@ class ElkanKernel(_GroupBoundsKernel):
         self.counters.distance_evals_computed += n * k
         self.counters.bound_groups += n_groups
         return assignments, sq_dists
+
+    def _tightest_group_bound(self) -> np.ndarray:
+        """Per-point minimum over groups of the drift-deflated bounds.
+
+        Stored bounds share a per-group scalar cumulative-drift offset,
+        inflated slightly so the float32 subtraction is strictly
+        conservative.
+        """
+        lower = self._lower
+        adj = self._cum_drift * (1.0 + _GUARD32)
+        lmin = lower[0] - np.float32(adj[0])
+        for g in range(1, lower.shape[0]):
+            np.minimum(lmin, lower[g] - np.float32(adj[g]), out=lmin)
+        return lmin
 
     def _refresh_survivor_bounds(
         self, rows_d2t: np.ndarray, survivors: np.ndarray
@@ -939,376 +713,26 @@ class ElkanKernel(_GroupBoundsKernel):
     def notify_update(
         self, old_centroids: np.ndarray, new_centroids: np.ndarray
     ) -> None:
-        if self._accumulate_group_drift(old_centroids, new_centroids) is None:
+        """Fold one centroid update into the per-group cumulative drift.
+
+        Nothing to maintain while no bounds are live (until the next full
+        refresh).
+        """
+        if not self._valid or self._lower is None:
             return
+        drift = np.sqrt(((new_centroids - old_centroids) ** 2).sum(axis=1))
+        group_drift = np.maximum.reduceat(drift, self._gstarts[:-1])
+        # Inflated slightly, so subtracting the accumulated value at test
+        # time is strictly conservative.
+        self._cum_drift += group_drift * (1.0 + _GUARD)
         # "moved" is tracked bitwise rather than as drift > 0 because a
         # subnormal displacement can square to exactly zero.
         moved = np.any(new_centroids != old_centroids, axis=1)
         self._moved = moved if self._moved is None else self._moved | moved
 
 
-class BlasKernel(_GroupBoundsKernel):
-    """float32 GEMM kernel (tolerance-close): raw speed over bit-identity.
-
-    Per run the points are copied once to a C-contiguous float32 matrix
-    augmented with a constant-1 column.  Per pass the centroids become a
-    float32 ``(d+1, k)`` matrix whose columns hold ``-2·c`` with ``‖c‖²``
-    in the last row, so a single ``sgemm`` per ``_TILE_BYTES`` row block
-    yields scores ``‖c‖² − 2·x·c`` whose argmin equals the distance
-    argmin (the omitted ``‖x‖²`` is constant per row).  The same group
-    bounds as :class:`ElkanKernel` restrict the GEMM to bound-check
-    survivors.  Accuracy is kept within the documented tolerance
-    (:func:`blas_mse_tolerance`) by three mechanisms:
-
-    * survivor rows whose float32 winner margin is ambiguous are
-      re-resolved with exact float64 ``cdist`` rows (``refine_rows``);
-    * pruned rows keep a *stale* squared distance whose drift-inflated
-      upper estimate stays valid by the triangle inequality — the
-      estimate loosens as drift accumulates, so stale rows eventually
-      re-enter the GEMM and refresh themselves;
-    * the reported SSE never reads the stale per-point distances: it is
-      computed algebraically from the incrementally maintained
-      per-cluster sums (``SSE = Σw‖x‖² − 2·Σ_j c_j·S_j + Σ_j ‖c_j‖²·M_j``),
-      which is exact in float64 given the current assignment;
-    * per-cluster weighted sums are maintained incrementally from the
-      switched rows only, re-synced from scratch periodically.
-
-    Counters: ``gemm_calls`` counts BLAS invocations, ``refine_rows`` the
-    float64-refined rows; ``computed + skipped`` still sums to the dense
-    cost of the *executed* passes (the iteration count itself may differ
-    from dense, since this tier's trajectory is only tolerance-close).
-    """
-
-    name = "blas"
-    exact = False
-
-    _DRIFT_GUARD = _GUARD32
-
-    #: Full re-sync cadence for the incrementally maintained sums.
-    _AGG_RESYNC_PASSES = 32
-
-    def _reset(self) -> None:
-        super()._reset()  # _sq_dists is tolerance-close float64 here
-        self._paug: np.ndarray | None = None  # (n, d+1) float32, last col 1
-        self._pnorm: np.ndarray | None = None  # (n,) float32 ‖x‖²
-        self._dist_eps = 0.0
-        self._acc_drift: np.ndarray | None = None  # (n,) float64 per point
-        self._drift: np.ndarray | None = None
-        self._agg_sums: np.ndarray | None = None
-        self._agg_k = -1
-        self._agg_age = 0
-        self._agg_rebuild = True
-        self._moves: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        # Algebraic-SSE state: Σ w·‖x‖² is constant per run; the
-        # centroids seen by the latest ``assign`` anchor the identity.
-        self._w2_total = 0.0
-        self._wp: np.ndarray | None = None
-        self._last_centroids: np.ndarray | None = None
-        # Mass cache shared between ``cluster_mass`` and ``compute_sse``
-        # (one weighted bincount per pass instead of two).
-        self._mass: np.ndarray | None = None
-        self._mass_k = -1
-
-    def start(self, points: np.ndarray, weights: np.ndarray) -> None:
-        super().start(points, weights)
-        pnorm64 = np.einsum("ij,ij->i", points, points)
-        self._w2_total = float(np.multiply(pnorm64, weights).sum())
-        self._paug, self._pnorm = _augment_points32(points)
-        max_norm = float(self._pnorm.max()) if points.shape[0] else 0.0
-        # Absolute slack for distance-space comparisons: float32 sqrt /
-        # cancellation noise scales with the data magnitude.
-        self._dist_eps = 1e-4 * (1.0 + np.sqrt(max(max_norm, 0.0)))
-
-    def invalidate(self) -> None:
-        self._valid = False
-        self._agg_rebuild = True
-        self._mass = None
-
-    def _centroid_mats(
-        self, centroids: np.ndarray
-    ) -> tuple[np.ndarray, float]:
-        """float32 ``(-2c | ‖c‖²)`` GEMM operand and the largest ``‖c‖²``.
-
-        The operand is ``(k, d+1)`` so ``caug_t @ block.T`` emits scores
-        already transposed ``(k, m)`` — the layout every downstream
-        reduction wants (see :func:`_group_min_t`).
-        """
-        dim = centroids.shape[1]
-        c32 = np.ascontiguousarray(centroids, dtype=np.float32)
-        caug_t = np.empty((centroids.shape[0], dim + 1), dtype=np.float32)
-        np.multiply(c32, np.float32(-2.0), out=caug_t[:, :dim])
-        cnorm = np.einsum("ij,ij->i", c32, c32, dtype=np.float32)
-        caug_t[:, dim] = cnorm
-        cn_max = float(cnorm.max()) if cnorm.size else 0.0
-        return caug_t, cn_max
-
-    def _score_blocks(
-        self, rows: np.ndarray | None, count: int, centroids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Score ``count`` rows (``rows=None``: every point) block by block."""
-        caug, cn_max = self._centroid_mats(centroids)
-        out_assign = np.empty(count, dtype=np.intp)
-        out_sq = np.empty(count, dtype=np.float64)
-        tile = _tile_rows(centroids.shape[0], itemsize=4)
-        for lo in range(0, count, tile):
-            self._score_rows(
-                lo, min(count, lo + tile), rows, centroids, caug, cn_max,
-                out_assign, out_sq,
-            )
-        return out_assign, out_sq
-
-    def _score_rows(
-        self,
-        row_lo: int,
-        row_hi: int,
-        rows: np.ndarray | None,
-        centroids: np.ndarray,
-        caug: np.ndarray,
-        cn_max: float,
-        out_assign: np.ndarray,
-        out_sq: np.ndarray,
-    ) -> None:
-        """Score one block of rows: GEMM, argmin, refine, bounds refresh.
-
-        ``rows=None`` scores the contiguous slice ``[row_lo, row_hi)``;
-        otherwise ``rows`` are point indices (survivor subsets) and
-        ``row_lo/row_hi`` delimit the slice *of that index array*.
-        ``out_assign``/``out_sq`` are indexed the same way as ``rows``.
-        """
-        paug = self._paug
-        pnorm = self._pnorm
-        pts = self._points
-        assert paug is not None and pnorm is not None and pts is not None
-        k = centroids.shape[0]
-        if rows is None:
-            idx = None
-            block = paug[row_lo:row_hi]
-            bnorm = pnorm[row_lo:row_hi]
-        else:
-            idx = rows[row_lo:row_hi]
-            block = paug[idx]
-            bnorm = pnorm[idx]
-        scores_t = caug @ block.T  # (k, m) — BLAS handles the view
-        self.counters.gemm_calls += 1
-        m = scores_t.shape[1]
-        best, ra = _min_argmin_t(scores_t)
-        ar = np.arange(m)
-        sq_block = np.maximum(bnorm + best, np.float32(0.0)).astype(np.float64)
-
-        grouped = None
-        if k >= 2:
-            scores_t[ra, ar] = np.inf
-            grouped = _group_min_t(scores_t, self._gstarts)
-            second = grouped[0].copy()
-            for g in range(1, grouped.shape[0]):
-                np.minimum(second, grouped[g], out=second)
-            # Ambiguous float32 winner margin → resolve with exact rows.
-            margin = second - best
-            thresh = np.float32(_BLAS_MARGIN) * (bnorm + np.float32(cn_max))
-            thresh += np.float32(self._dist_eps * self._dist_eps)
-            amb = np.flatnonzero(margin <= thresh)
-            if amb.size:
-                src = amb + row_lo if idx is None else idx[amb]
-                exact = cdist(pts[src], centroids, metric="sqeuclidean")
-                ra[amb] = np.argmin(exact, axis=1)
-                sq_block[amb] = exact[np.arange(amb.size), ra[amb]]
-                self.counters.refine_rows += int(amb.size)
-
-        out_assign[row_lo:row_hi] = ra
-        out_sq[row_lo:row_hi] = sq_block
-
-        if k >= 2:
-            # All-float32 bound refresh: the doubled ulp guard plus the
-            # absolute ``dist_eps`` slack (applied here and at test time)
-            # dominates the few-ulp float32 sqrt/add rounding.
-            dist2 = np.maximum(bnorm[None, :] + grouped, np.float32(0.0))
-            vals = np.sqrt(dist2)
-            vals *= np.float32(1.0 - 2.0 * _GUARD32)
-            vals -= np.float32(self._dist_eps)
-            vals += self._cum_drift.astype(np.float32)[:, None]
-            lower = self._lower
-            if idx is None:
-                lower[:, row_lo:row_hi] = vals
-            else:
-                lower[:, idx] = vals
-
-    def _full_refresh(
-        self, centroids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        pts = self._points
-        assert pts is not None
-        n, k = pts.shape[0], centroids.shape[0]
-        n_groups = self._start_group_bounds(k)
-        self._lower = np.full((n_groups, n), np.inf, dtype=np.float32)
-        assignments, sq_dists = self._score_blocks(None, n, centroids)
-        self._assignments = assignments
-        self._sq_dists = sq_dists
-        self._acc_drift = np.zeros(n, dtype=np.float64)
-        self._drift = None
-        self._valid = True
-        self._agg_rebuild = True
-        self._moves = []
-        self.counters.distance_evals_computed += n * k
-        self.counters.bound_groups += n_groups
-        return assignments, sq_dists
-
-    def _assign(self, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n, k = self._points.shape[0], centroids.shape[0]
-        self._last_centroids = centroids
-        self._mass = None  # assignment may change; mass cache is stale
-        if not self._valid or self._assignments is None:
-            return self._full_refresh(centroids)
-
-        assignments = self._assignments
-        sq_dists = self._sq_dists
-        acc = self._acc_drift
-        assert sq_dists is not None and acc is not None
-        assert self._lower is not None
-        n_groups = self._lower.shape[0]
-
-        if self._drift is not None:
-            acc += self._drift[assignments]
-        upper_est = np.sqrt(sq_dists)
-        upper_est += acc
-
-        lmin = self._tightest_group_bound()
-
-        if k >= 2:
-            s_radius = _half_nearest_centroid(centroids)
-            s_radius *= 1.0 - _BLAS_GUARD
-            s_radius -= self._dist_eps
-            bound = np.maximum(lmin, s_radius[assignments])
-        else:
-            bound = lmin.astype(np.float64)
-
-        survivor_mask = (
-            upper_est * (1.0 + _BLAS_GUARD) + self._dist_eps >= bound
-        )
-        survivors = np.flatnonzero(survivor_mask)
-        m = survivors.size
-        pruned = n - m
-
-        computed = m * k
-        # Pruned rows keep their assignment and their *stale* squared
-        # distance: ``sqrt(sq) + acc`` remains a valid upper bound by
-        # the triangle inequality, and its growing slack pushes stale
-        # rows back into the GEMM eventually.  SSE never reads these
-        # values (see ``compute_sse``).
-
-        if m:
-            ra, rsq = self._score_blocks(survivors, m, centroids)
-            old_assign = assignments[survivors]
-            changed = ra != old_assign
-            if changed.any():
-                self._moves.append(
-                    (survivors[changed], old_assign[changed], ra[changed])
-                )
-            assignments[survivors] = ra
-            sq_dists[survivors] = rsq
-            acc[survivors] = 0.0
-
-        self.counters.bound_check_hits += pruned
-        self.counters.bound_groups += n_groups
-        self.counters.distance_evals_computed += computed
-        self.counters.distance_evals_skipped += max(n * k - computed, 0)
-        self._drift = None
-        return assignments, sq_dists
-
-    def aggregate(
-        self, weighted_points: np.ndarray, assignments: np.ndarray, k: int
-    ) -> np.ndarray:
-        """Incrementally maintained per-cluster sums (tolerance tier).
-
-        Only rows that switched clusters update the cached sums; a full
-        bit-exact re-sync runs every ``_AGG_RESYNC_PASSES`` passes (and
-        after any refresh/repair) to stop float round-off from
-        accumulating.
-        """
-        self._wp = weighted_points
-        if (
-            self._agg_sums is None
-            or self._agg_rebuild
-            or self._agg_k != k
-            or self._agg_age >= self._AGG_RESYNC_PASSES
-        ):
-            self._agg_sums = aggregate_weighted_sums(
-                weighted_points, assignments, k
-            )
-            self._agg_k = k
-            self._agg_age = 0
-            self._agg_rebuild = False
-            self._moves = []
-        else:
-            self._flush_moves()
-            self._agg_age += 1
-        return self._agg_sums
-
-    def _flush_moves(self) -> None:
-        """Apply pending cluster switches to the cached per-cluster sums."""
-        if not self._moves:
-            return
-        sums = self._agg_sums
-        wp = self._wp
-        assert sums is not None and wp is not None
-        for rows, old, new in self._moves:
-            moved_wp = wp[rows]
-            np.subtract.at(sums, old, moved_wp)
-            np.add.at(sums, new, moved_wp)
-        self._moves = []
-
-    def compute_sse(
-        self, weights: np.ndarray, sq_dists: np.ndarray
-    ) -> float:
-        """Algebraic SSE from per-cluster sums — immune to stale rows.
-
-        ``SSE = Σ_i w_i‖x_i‖² − 2·Σ_j c_j·S_j + Σ_j ‖c_j‖²·M_j`` where
-        ``S_j`` are the maintained weighted sums and ``M_j`` the cluster
-        masses.  This is exact (float64) for the *current* assignment,
-        so the pruned rows' stale cached distances never leak into the
-        reported SSE/MSE or the convergence test.
-        """
-        c = self._last_centroids
-        if (
-            c is None
-            or self._agg_sums is None
-            or self._wp is None
-            or self._assignments is None
-            or self._agg_k != c.shape[0]
-        ):
-            return float(np.multiply(weights, sq_dists).sum())
-        self._flush_moves()
-        k = c.shape[0]
-        if self._mass is not None and self._mass_k == k:
-            # lloyd asked for the mass of this same assignment earlier in
-            # the pass — reuse it instead of a second bincount.
-            mass = self._mass
-        else:
-            mass = np.bincount(
-                self._assignments, weights=weights, minlength=k
-            )
-        cross = float(np.einsum("ij,ij->", c, self._agg_sums))
-        cnorm = np.einsum("ij,ij->i", c, c)
-        return max(self._w2_total - 2.0 * cross + float(np.dot(cnorm, mass)),
-                   0.0)
-
-    def cluster_mass(
-        self, weights: np.ndarray, assignments: np.ndarray, k: int
-    ) -> np.ndarray:
-        """Reference weighted ``bincount``, cached for :meth:`compute_sse`."""
-        self._mass = np.bincount(assignments, weights=weights, minlength=k)
-        self._mass_k = k
-        return self._mass
-
-    def notify_update(
-        self, old_centroids: np.ndarray, new_centroids: np.ndarray
-    ) -> None:
-        drift = self._accumulate_group_drift(old_centroids, new_centroids)
-        if drift is not None:
-            self._drift = drift if self._drift is None else self._drift + drift
-
-
 _KERNELS: dict[str, type[LloydKernel]] = {
-    cls.name: cls for cls in (DenseKernel, ElkanKernel, BlasKernel)
+    cls.name: cls for cls in (DenseKernel, ElkanKernel)
 }
 
 
@@ -1350,74 +774,6 @@ def resolve_kernel(
         valid = ", ".join(available_kernels())
         raise ValueError(f"{what}; expected one of {valid}")
     return cls()
-
-
-def blas_mse_tolerance(points: np.ndarray, reference_mse: float) -> float:
-    """Documented error bound for the tolerance-close ``blas`` kernel.
-
-    ``|mse_blas − mse_dense| ≤ 1e-3·mse_dense + 1024·eps32·scale²`` where
-    ``scale² = max‖x‖²``.  The relative term covers the slightly looser
-    float32 pruning (a near-tie resolved the other way shifts the local
-    SSE by at most the ambiguity margin); the absolute term covers float32
-    cancellation in ``‖x‖² − 2·x·c + ‖c‖²``, which scales with the data
-    magnitude rather than the (possibly tiny) within-cluster distances.
-    Benchmarks and Hypothesis property tests assert this bound.
-    """
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    scale2 = float((pts * pts).sum(axis=1).max()) if pts.size else 0.0
-    eps32 = float(np.finfo(np.float32).eps)
-    return 1e-3 * float(reference_mse) + 1024.0 * eps32 * scale2
-
-
-def blas_assign_to_nearest(
-    points: np.ndarray, centroids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-shot float32 GEMM nearest-centroid assignment (serving path).
-
-    Same scoring as :class:`BlasKernel` — augmented float32 GEMM in row
-    blocks, float64 refinement of ambiguous winner margins — without any
-    cross-iteration state.  Returns ``(assignments, sq_dists)``; squared
-    distances are float64 within the :func:`blas_mse_tolerance` regime.
-    """
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    cents = np.ascontiguousarray(centroids, dtype=np.float64)
-    n, dim = pts.shape
-    k = cents.shape[0]
-    paug, pnorm = _augment_points32(pts)
-    c32 = np.ascontiguousarray(cents, dtype=np.float32)
-    caug = np.empty((dim + 1, k), dtype=np.float32)
-    np.multiply(c32.T, np.float32(-2.0), out=caug[:dim])
-    cnorm = np.einsum("ij,ij->i", c32, c32, dtype=np.float32)
-    caug[dim] = cnorm
-    cn_max = float(cnorm.max()) if k else 0.0
-
-    assignments = np.empty(n, dtype=np.intp)
-    sq_dists = np.empty(n, dtype=np.float64)
-    tile = _tile_rows(k, itemsize=4)
-    for lo in range(0, n, tile):
-        hi = min(n, lo + tile)
-        scores = paug[lo:hi] @ caug
-        m = hi - lo
-        ar = np.arange(m)
-        ra = np.argmin(scores, axis=1)
-        best = scores[ar, ra].copy()
-        sq_block = np.maximum(
-            pnorm[lo:hi] + best, np.float32(0.0)
-        ).astype(np.float64)
-        if k >= 2:
-            scores[ar, ra] = np.inf
-            margin = scores.min(axis=1) - best
-            thresh = np.float32(_BLAS_MARGIN) * (
-                pnorm[lo:hi] + np.float32(cn_max)
-            )
-            amb = np.flatnonzero(margin <= thresh)
-            if amb.size:
-                exact = cdist(pts[lo + amb], cents, metric="sqeuclidean")
-                ra[amb] = np.argmin(exact, axis=1)
-                sq_block[amb] = exact[np.arange(amb.size), ra[amb]]
-        assignments[lo:hi] = ra
-        sq_dists[lo:hi] = sq_block
-    return assignments, sq_dists
 
 
 def aggregate_weighted_sums(

@@ -16,10 +16,9 @@ Algorithm (paper Section 2):
 The assignment step (2) is delegated to a pluggable backend from
 :mod:`repro.core.kernels`, selected via the ``kernel=`` argument or the
 ``REPRO_KMEANS_KERNEL`` environment variable (``docs/kernels.md`` lists
-them); with neither, the run's size picks the faster exact backend.  The
-exact backends are bit-identical in every output, so between them the
-choice is purely a performance knob; naming ``blas`` trades bit-identity
-for speed.
+them); with neither, the run's size picks the faster one.  The two
+backends, ``dense`` and ``elkan``, are bit-identical in every output, so
+the choice is purely a performance knob.
 
 Empty clusters — which the paper does not discuss but any fixed-k
 implementation must handle — are repaired by re-seeding the empty centroid
@@ -108,9 +107,7 @@ def lloyd(
             to consult ``REPRO_KMEANS_KERNEL`` and then pick by size:
             ``elkan`` when ``n·k`` reaches
             ``repro.core.kernels._BOUNDS_MIN_PAIRS``, ``dense`` below.
-            Exact backends produce bit-identical results;
-            ``"blas"`` outputs are only tolerance-close (see
-            :func:`repro.core.kernels.blas_mse_tolerance`).
+            Every backend produces bit-identical results.
         abandon_sse: optional incumbent SSE for restart early-abandoning.
             When the run's optimistically-projected final SSE (current SSE
             minus the latest per-iteration improvement times the remaining
@@ -147,13 +144,10 @@ def lloyd(
     weighted_pts = pts if weights is None else pts * wts[:, None]
 
     backend = resolve_kernel(kernel, pairs=n * k)
-    backend.start(pts, wts)
-    try:
-        return _iterate(
-            backend, pts, wts, weighted_pts, cents, test, max_iter, abandon_sse
-        )
-    finally:
-        backend.finish()
+    backend.start(pts)
+    return _iterate(
+        backend, pts, wts, weighted_pts, cents, test, max_iter, abandon_sse
+    )
 
 
 def _iterate(
@@ -192,8 +186,7 @@ def _iterate(
 
         # Weighted centroid recalculation: mu_j = sum(w_i x_i) / sum(w_i).
         # Delegated to the kernel so bounds kernels can reuse cached sums
-        # for untouched clusters (bit-exact) or maintain them
-        # incrementally (blas tier).
+        # for untouched clusters (bit-exact).
         sums = backend.aggregate(weighted_pts, assignments, k)
         occupied = cluster_mass > 0
         new_cents = cents.copy()
@@ -203,9 +196,9 @@ def _iterate(
         backend.notify_update(cents, new_cents)
         cents = new_cents
 
-        # Delegated: the blas tier computes SSE algebraically from its
-        # per-cluster sums so stale pruned-row distances never leak in.
-        cur_sse = backend.compute_sse(wts, sq_dists)
+        # numpy's pairwise sum, not a BLAS dot: its bits do not depend on
+        # the BLAS thread count.
+        cur_sse = float(np.multiply(wts, sq_dists).sum())
         cur_mse = cur_sse / total_mass
         if test.converged(prev_sse / total_mass, cur_mse, shift):
             converged = True
@@ -231,7 +224,7 @@ def _iterate(
     # Copy: the hook may hand back a kernel-owned cache, and the result
     # must not alias state a reused kernel instance would mutate.
     cluster_mass = backend.cluster_mass(wts, assignments, k).copy()
-    final_sse = backend.compute_sse(wts, sq_dists)
+    final_sse = float(np.multiply(wts, sq_dists).sum())
 
     return KMeansResult(
         centroids=cents,

@@ -12,11 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from repro.core.kernels import (
-    _assign_rows,
-    blas_assign_to_nearest,
-    resolve_kernel,
-)
+from repro.core.kernels import _assign_rows
 from repro.core.model import as_points, as_weights
 
 __all__ = [
@@ -60,42 +56,17 @@ def pairwise_sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarr
 
 
 def assign_to_nearest(
-    points: np.ndarray,
-    centroids: np.ndarray,
-    kernel: str | None = None,
+    points: np.ndarray, centroids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assign each point to its nearest centroid.
 
     Returns ``(assignments, sq_dists)`` where ``assignments[i]`` indexes the
     nearest centroid of ``points[i]`` and ``sq_dists[i]`` is the squared
-    distance to it.
-
-    Args:
-        points: ``(n, d)`` query points (any float dtype/layout).
-        centroids: ``(k, d)`` model centroids.
-        kernel: ``"blas"`` routes the one-shot assignment through the
-            float32 GEMM fast path of
-            :func:`repro.core.kernels.blas_assign_to_nearest` —
-            assignments may differ from the dense reference only where
-            two centroids are within float32 noise of equidistant, and
-            returned ``sq_dists`` are always exact float64 for the chosen
-            centroid.  Every other value (``None``/exact kernel names)
-            uses the dense reference, the ``dense`` kernel's tiled pass:
-            bounds kernels have no advantage on a one-shot assignment, so
-            there is nothing to select.
+    distance to it.  This is the ``dense`` kernel's tiled pass: bounds
+    kernels have no advantage on a one-shot assignment.  ``points`` and
+    ``centroids`` may have any float dtype or memory layout.
     """
-    # Validate through the central resolver so unknown names fail
-    # identically to the Lloyd path.
-    if kernel is not None and not resolve_kernel(kernel).exact:
-        return blas_assign_to_nearest(points, centroids)
-    pts = _as_cdist_operand(points)
-    n = pts.shape[0]
-    assignments = np.empty(n, dtype=np.intp)
-    sq_dists = np.empty(n, dtype=np.float64)
-    _assign_rows(
-        pts, _as_cdist_operand(centroids), 0, n, assignments, sq_dists
-    )
-    return assignments, sq_dists
+    return _assign_rows(_as_cdist_operand(points), _as_cdist_operand(centroids))
 
 
 def sse(

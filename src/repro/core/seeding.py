@@ -210,8 +210,7 @@ def kmeans_parallel_seeds(
     # Weight every candidate by the point mass it attracts, then recluster
     # the small candidate set down to k with mass-aware k-means++.  The
     # owners come from the kernels' tiled pass (first-index argmin).
-    owner = np.empty(n, dtype=np.intp)
-    _assign_rows(pts, cand_pts, 0, n, owner, np.empty(n, dtype=np.float64))
+    owner, __ = _assign_rows(pts, cand_pts)
     cand_wts = np.bincount(owner, weights=wts, minlength=candidates.shape[0])
     cand_wts = np.maximum(cand_wts, np.finfo(np.float64).tiny)
     return kmeans_plus_plus_seeds(cand_pts, kk, rng, weights=cand_wts)

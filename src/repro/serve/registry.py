@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.core.convergence import ConvergenceCriterion
 from repro.core.incremental import fold_summary
+from repro.core.kernels import resolve_kernel
 from repro.core.kmeans import DEFAULT_MAX_ITER
 from repro.core.model import ClusterModel, as_points
 from repro.core.partial import partial_kmeans
@@ -228,9 +229,9 @@ class ModelRegistry:
         criterion: convergence criterion for all folds and tree merges.
         max_iter: Lloyd cap for all folds and tree merges.
         kernel: assignment backend for all folds and tree merges
-            (exact kernels are bit-identical; performance knob only).
-            ``"blas"`` is tolerance-close for folds, merges *and*
-            serving-time assigns (the float32 GEMM one-shot path).
+            (the kernels are bit-identical; performance knob only).
+            An unknown name raises ``ValueError`` here, not at the
+            first ingest.
         ttl_seconds: serve-side staleness horizon — responses from a
             model older than this carry ``stale=True`` (and are counted)
             so callers can trigger refreshes; ``None`` disables.
@@ -260,6 +261,7 @@ class ModelRegistry:
             raise ValueError(f"k must be >= 1, got {k}")
         if ttl_seconds is not None and ttl_seconds <= 0:
             raise ValueError(f"ttl_seconds must be > 0, got {ttl_seconds}")
+        resolve_kernel(kernel)
         self.run_dir = Path(run_dir)
         self.journal_path = self.run_dir / JOURNAL_FILENAME
         self.k = k
@@ -527,9 +529,7 @@ class ModelRegistry:
         with entry.lock:
             model = self._served_model(entry)
             self._check_dim(cell_id, pts, model)
-            assignments, sq_dists = assign_to_nearest(
-                pts, model.centroids, kernel=self.kernel
-            )
+            assignments, sq_dists = assign_to_nearest(pts, model.centroids)
             age, stale = self._freshness(entry)
             return AssignResult(
                 cell_id=cell_id,

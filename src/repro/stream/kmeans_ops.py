@@ -27,7 +27,11 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 import numpy as np
 
 from repro.core.convergence import ConvergenceCriterion
-from repro.core.kernels import KernelCounters, merge_counter_dicts
+from repro.core.kernels import (
+    KernelCounters,
+    merge_counter_dicts,
+    resolve_kernel,
+)
 from repro.core.kmeans import DEFAULT_MAX_ITER
 from repro.core.merge import merge_kmeans
 from repro.core.model import ClusterModel, as_points
@@ -275,6 +279,9 @@ class PartialKMeansOperator(Transform):
         super().__init__(name)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
+        # Refuse a bad kernel name here, in the process that plans the
+        # run: a worker that failed on it would only drop its partitions.
+        resolve_kernel(kernel)
         self.k = k
         self.restarts = restarts
         self.seeding = seeding
@@ -627,11 +634,10 @@ def run_partial_merge_stream(
             ``partial_clones`` is given explicitly.
         kernel: Lloyd assignment backend for the partial and merge stages
             (see ``docs/kernels.md``); ``None`` consults the
-            ``REPRO_KMEANS_KERNEL`` environment variable.  Exact kernels
+            ``REPRO_KMEANS_KERNEL`` environment variable.  The kernels
             are bit-identical, so choosing between them never changes
             results — counters in the execution metrics show what it
-            saved; ``"blas"`` waives bit-identity for speed (see
-            :func:`repro.core.kernels.blas_mse_tolerance`).
+            saved.
 
     Returns:
         ``(models, execution_result)`` where ``models`` maps cell id to

@@ -654,16 +654,9 @@ class ExecutionMetrics:
                 f"computed={computed} skipped={skipped} ({saved:.0%} saved) "
                 f"assign={counters.get('assign_seconds', 0.0):.3f}s"
             )
-            # Tier-specific instrumentation: group bounds (elkan/blas) and
-            # the blas tier's GEMM/refinement work, shown only when the
-            # kernel recorded them.
+            # elkan's group bounds, shown only when the kernel kept them.
             if counters.get("bound_groups"):
                 line += f" groups={counters['bound_groups']}"
-            if counters.get("gemm_calls"):
-                line += (
-                    f" gemm={counters['gemm_calls']} "
-                    f"refined={counters.get('refine_rows', 0)}"
-                )
             lines.append(line)
         tree = self.tree_stats
         if tree:

@@ -42,7 +42,6 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.core.kernels import set_assign_helper_budget
 from repro.stream.errors import WorkerCrashed
 from repro.stream.items import DataChunk
 from repro.stream.metrics import WorkerProcessStats
@@ -256,11 +255,7 @@ def _worker_main(conn) -> None:
       ``("err", error, seconds)`` — points arrive via shared memory
     * ``("item", item)`` → same replies — pickled control items
     * ``("stop",)`` → ``("bye",)`` and exit
-
-    The worker's Lloyd passes stay on its own thread: the worker
-    processes already are the parallelism.
     """
-    set_assign_helper_budget(0)
     operator: Transform | None = None
     while True:
         try:

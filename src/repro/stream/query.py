@@ -288,16 +288,12 @@ class Query:
         """Choose the Lloyd assignment kernel for all k-means stages.
 
         Args:
-            kernel: a name from ``docs/kernels.md``.  Exact kernels are
+            kernel: a name from ``docs/kernels.md``.  The kernels are
                 bit-identical in every output, so choosing between them
                 is a pure performance knob — which is also why the
                 checkpoint manifest does not record it: a journaled run
-                may resume under a different exact kernel and still
-                produce the same bits.  ``"blas"`` waives bit-identity
-                for a documented MSE tolerance
-                (:func:`repro.core.kernels.blas_mse_tolerance`); resuming
-                a journal under it forfeits the bit-identity resume
-                guarantee.
+                may resume under the other kernel and still produce the
+                same bits.
         """
         try:
             # Selection semantics live in resolve_kernel; validate
@@ -698,9 +694,9 @@ class Query:
         see the same inventory an uninterrupted run would have processed.
         The directory path itself is also omitted — the inventory
         identifies the inputs by content, not location.  The Lloyd kernel
-        is deliberately not recorded either: exact kernels are
-        bit-identical, so resuming a journal under a different exact
-        kernel is valid (the ``blas`` tier waives this guarantee).
+        is deliberately not recorded either: the kernels are
+        bit-identical, so resuming a journal under the other kernel is
+        valid.
         """
         state = self._state
         cluster = dict(state.cluster_args or {})

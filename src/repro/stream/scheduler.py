@@ -22,15 +22,14 @@ DEFAULT_MEMORY_BUDGET = 64 * 1024 * 1024
 _FLOAT64_BYTES = 8
 #: Working-set multiplier: a Lloyd pass holds the points, O(n) buffers
 #: (weights, assignments, per-point distances: about the points' bytes
-#: again at d = 6) and, per assigning thread, one score tile of at most
-#: ``_TILE_BYTES`` (1 MiB) — the whole (n, k) distance matrix only when
-#: it fits in one tile.  3x the point bytes therefore covers a partition
-#: whose points outweigh its tiles (≳ 22 000 points per thread at d = 6).
-#: Traced on top of the points at n = 100 000, k = 40, both exact
-#: kernels stay under 2x: ``dense`` peaks at 1.7x on two threads and
-#: ``elkan`` — the default at that size — at 1.6x (its float32 group
-#: bounds are 0.4x; it keeps no copy of the points).  A smaller
-#: partition overshoots by at most its tiles.
+#: again at d = 6) and one score tile of at most ``_TILE_BYTES`` (1 MiB)
+#: — the whole (n, k) distance matrix only when it fits in one tile.
+#: 3x the point bytes therefore covers a partition whose points outweigh
+#: its tile (≳ 22 000 points at d = 6).  Traced on top of the points at
+#: n = 100 000, k = 40, both kernels stay under 2x: ``dense`` peaks at
+#: 1.3x and ``elkan`` — the default at that size — at 1.6x (its float32
+#: group bounds are 0.4x; it keeps no copy of the points).  A smaller
+#: partition overshoots by at most its tile.
 _WORKING_SET_FACTOR = 3.0
 
 

@@ -76,7 +76,6 @@ from typing import Any, Callable, Iterable, Mapping
 import numpy as np
 
 from repro.core.convergence import ConvergenceCriterion
-from repro.core.kernels import set_assign_helper_budget
 from repro.core.kmeans import DEFAULT_MAX_ITER
 from repro.core.model import ClusterModel
 from repro.core.pipeline import split_into_chunks
@@ -369,12 +368,7 @@ def _shard_worker_main(
     fault_specs: tuple[FaultSpec, ...],
     fault_seed: int,
 ) -> None:
-    """Worker process entry point: connect, heartbeat, serve cell tasks.
-
-    The worker's Lloyd passes stay on its own thread: the worker
-    processes already are the parallelism.
-    """
-    set_assign_helper_budget(0)
+    """Worker process entry point: connect, heartbeat, serve cell tasks."""
     coordinator_pid = os.getppid()
     if transport == "tcp":
         conn = connection.Client(endpoint, authkey=authkey)

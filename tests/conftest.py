@@ -2,46 +2,14 @@
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
-
-from repro.core import kernels
-from repro.core.kernels import (
-    assign_helper_budget,
-    blas_mse_tolerance,
-    set_assign_helper_budget,
-)
-from repro.core.quality import mse
 
 
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic generator, fresh per test."""
     return np.random.default_rng(12345)
-
-
-@pytest.fixture
-def budget():
-    """Set the assignment helper budget for one test, restoring it after."""
-    before = assign_helper_budget()
-    yield set_assign_helper_budget
-    set_assign_helper_budget(before)
-
-
-@pytest.fixture
-def block_threads(monkeypatch):
-    """Names of the threads that scored each dense row block, in call order."""
-    names: list[str] = []
-    real = kernels._assign_rows
-
-    def recording(*args):
-        names.append(threading.current_thread().name)
-        real(*args)
-
-    monkeypatch.setattr(kernels, "_assign_rows", recording)
-    return names
 
 
 def make_blobs(
@@ -58,13 +26,6 @@ def make_blobs(
     ]
     points = np.vstack(blocks)
     return points[generator.permutation(points.shape[0])]
-
-
-def assert_within_blas_tolerance(points, dense_model, blas_model) -> None:
-    """A ``blas`` model's data MSE is tolerance-close to the dense one's."""
-    reference = mse(points, dense_model.centroids)
-    error = abs(mse(points, blas_model.centroids) - reference)
-    assert error <= blas_mse_tolerance(points, reference), error
 
 
 @pytest.fixture

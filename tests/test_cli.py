@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import json
+import re
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.cli import build_parser, main
 from repro.data.generator import generate_cell_points
 from repro.data.gridcell import GridCell, GridCellId
 from repro.data.gridio import write_bucket_dir
-from repro.stream.checkpoint import read_journal
 
 
 class TestParser:
@@ -342,33 +341,6 @@ class TestCheckpointCli:
         assert "journal:" in out
         assert (run_dir / "journal.rjl").exists()
 
-    def test_blas_run_names_its_kernel_in_every_artefact(
-        self, tmp_path, capsys
-    ):
-        """Naming ``blas`` is the waiver — and every output says so."""
-        buckets = self._generate(tmp_path, capsys)
-        run_dir, trace = tmp_path / "run", tmp_path / "trace.json"
-        argv = [
-            "query", str(buckets),
-            "--k", "4", "--chunks", "2", "--restarts", "1", "--seed", "0",
-            "--kernel", "blas",
-            "--checkpoint-dir", str(run_dir), "--trace-json", str(trace),
-        ]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        for stage in ("partial", "merge"):
-            assert f"kernel[{stage}]: blas" in out
-        assert "gemm=" in out and "refined=" in out
-        traced = json.loads(trace.read_text())["kernel_counters"]
-        assert {c["kernel"] for c in traced.values()} == {"blas"}
-        journaled = read_journal(run_dir / "journal.rjl").partitions
-        names = {
-            message.kernel_counters["kernel"]
-            for by_partition in journaled.values()
-            for message in by_partition.values()
-        }
-        assert names == {"blas"}
-
     @pytest.mark.parametrize("command", ["query", "cluster", "serve"])
     def test_retired_kernel_flags_are_argparse_errors(
         self, command, tmp_path, capsys
@@ -377,6 +349,7 @@ class TestCheckpointCli:
             (["--no-exact"], "unrecognized arguments: --no-exact"),
             (["--kernel", "hamerly"], "invalid choice: 'hamerly'"),
             (["--kernel", "tiled"], "invalid choice: 'tiled'"),
+            (["--kernel", "blas"], "invalid choice: 'blas'"),
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main([command, str(tmp_path), *extra])
@@ -387,6 +360,15 @@ class TestCheckpointCli:
                 if "error:" in line
             ]
             assert len(error_lines) == 1 and complaint in error_lines[0]
+
+    def test_retired_blas_kernel_names_the_two_kernels(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cluster", str(tmp_path / "cell.gbk"), "--kernel", "blas"])
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        assert "invalid choice: 'blas'" in error
+        # Newer Pythons print argparse's choices without quotes.
+        assert re.search(r"choose from '?dense'?, '?elkan'?\)", error), error
 
     def test_query_quarantine_flag(self, tmp_path, capsys):
         buckets = self._generate(tmp_path, capsys)
@@ -421,7 +403,7 @@ class TestKernelFlag:
     def test_default_is_none_and_names_parse_verbatim(self, command):
         parser = build_parser()
         assert parser.parse_args([command, "somewhere"]).kernel is None
-        for name in ("dense", "elkan", "blas"):
+        for name in ("dense", "elkan"):
             args = parser.parse_args([command, "somewhere", "--kernel", name])
             assert args.kernel == name
 

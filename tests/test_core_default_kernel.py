@@ -22,7 +22,6 @@ from repro.core.kernels import (
     KERNEL_ENV_VAR,
     DenseKernel,
     ElkanKernel,
-    assign_helper_budget,
     resolve_kernel,
 )
 from repro.core.kmeans import lloyd
@@ -159,14 +158,13 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_default_lloyd_peak_memory_is_about_the_points(budget):
+def test_default_lloyd_peak_memory_is_about_the_points():
     """n = 100 000, k = 40: the default is elkan, inside dense's 2x bound.
 
     Before its per-point state was trimmed, elkan traced 4.7x here (a
     sorted copy of the points, copies of the distance vector and a
-    full-width gather).  At most one helper, as for the dense bound.
+    full-width gather).
     """
-    budget(min(assign_helper_budget(), 1))
     points, seeds = cell(100_000, 40)
     assert isinstance(resolve_kernel(None, pairs=100_000 * 40), ElkanKernel)
     peak = _traced_peak(lambda: lloyd(points, seeds, max_iter=5))

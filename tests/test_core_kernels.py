@@ -5,12 +5,13 @@ kernel must produce bit-identical ``assignments``, ``centroids``, ``sse``
 and ``iterations`` to the dense reference on every input — including
 weighted merge-style configurations and empty-cluster repair paths —
 because the engine's crash-resume and cross-backend determinism
-guarantees are built on top of it.  The ``blas`` kernel waives
-bit-identity for speed and must instead stay within the documented
-:func:`~repro.core.kernels.blas_mse_tolerance` bound.
+guarantees are built on top of it.  The retired ``blas`` kernel, the
+only inexact one there was, is refused by name everywhere.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,13 +20,11 @@ from hypothesis import strategies as st
 
 from repro.core.kernels import (
     KERNEL_ENV_VAR,
-    BlasKernel,
     DenseKernel,
     ElkanKernel,
     KernelCounters,
     aggregate_weighted_sums,
     available_kernels,
-    blas_mse_tolerance,
     merge_counter_dicts,
     resolve_kernel,
 )
@@ -46,14 +45,6 @@ def _assert_identical(ref, alt, label):
     assert alt.mse == ref.mse, label
     assert alt.iterations == ref.iterations, label
     assert alt.converged == ref.converged, label
-
-
-def _assert_blas_close(ref, pts, seeds, label, **lloyd_kwargs):
-    """The blas tier must stay within the documented MSE tolerance."""
-    alt = lloyd(pts, seeds, kernel="blas", **lloyd_kwargs)
-    tol = blas_mse_tolerance(pts, ref.mse)
-    assert abs(alt.mse - ref.mse) <= tol, (label, alt.mse, ref.mse, tol)
-    return alt
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +69,6 @@ def test_kernels_bit_identical_randomized(case):
     for name in ALT_KERNELS:
         alt = lloyd(pts, seeds, weights=weights, max_iter=max_iter, kernel=name)
         _assert_identical(ref, alt, (name, case))
-    _assert_blas_close(
-        ref, pts, seeds, ("blas", case), weights=weights, max_iter=max_iter
-    )
 
 
 def test_kernels_bit_identical_clustered_data():
@@ -94,7 +82,6 @@ def test_kernels_bit_identical_clustered_data():
     ref = lloyd(pts, seeds, kernel="dense")
     for name in ALT_KERNELS:
         _assert_identical(ref, lloyd(pts, seeds, kernel=name), name)
-    _assert_blas_close(ref, pts, seeds, "blas clustered")
 
 
 def test_kernels_bit_identical_weighted_merge_configuration():
@@ -137,7 +124,6 @@ def test_kernels_bit_identical_through_empty_cluster_repair():
     assert ref.iterations >= 1
     for name in ALT_KERNELS:
         _assert_identical(ref, lloyd(pts, seeds, kernel=name), name)
-    _assert_blas_close(ref, pts, seeds, "blas repair")
 
 
 def test_kernels_bit_identical_duplicate_centroids():
@@ -176,7 +162,6 @@ def test_kernels_bit_identical_high_k_regime():
     for name in ALT_KERNELS:
         alt = lloyd(pts, seeds, kernel=name, max_iter=30)
         _assert_identical(ref, alt, (name, "k=48"))
-    _assert_blas_close(ref, pts, seeds, "blas k=48", max_iter=30)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +199,10 @@ def test_kernels_accept_every_input_layout(layout):
     for name in ("dense",) + ALT_KERNELS:
         alt = lloyd(pts, seeds, kernel=name, max_iter=25)
         _assert_identical(ref, alt, (name, layout))
-    _assert_blas_close(ref, pts, seeds, ("blas", layout), max_iter=25)
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis property tests (satellite): tier contracts on random shapes
+# Hypothesis property test (satellite): the contract on random shapes
 # ---------------------------------------------------------------------------
 
 
@@ -239,23 +223,6 @@ def test_property_exact_kernels_bit_identical(seed, n, k, d):
     for name in ALT_KERNELS:
         alt = lloyd(pts, seeds, kernel=name, max_iter=15)
         _assert_identical(ref, alt, (name, seed, n, k, d))
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    n=st.integers(min_value=8, max_value=160),
-    k=st.integers(min_value=1, max_value=12),
-    d=st.integers(min_value=1, max_value=10),
-)
-def test_property_blas_within_documented_tolerance(seed, n, k, d):
-    """Any (n, k, d): the blas tier stays within blas_mse_tolerance."""
-    k = min(k, n)
-    rng = np.random.default_rng(seed)
-    pts = rng.normal(scale=rng.uniform(1e-2, 1e2), size=(n, d))
-    seeds = pts[rng.choice(n, size=k, replace=False)]
-    ref = lloyd(pts, seeds, kernel="dense", max_iter=15)
-    _assert_blas_close(ref, pts, seeds, (seed, n, k, d), max_iter=15)
 
 
 # ---------------------------------------------------------------------------
@@ -305,26 +272,6 @@ def test_bounds_kernels_account_every_evaluation(name):
     assert fast.counters.bound_groups >= fast.counters.assign_calls
 
 
-def test_blas_counters_record_gemm_and_refines():
-    rng = np.random.default_rng(2)
-    centers = rng.uniform(-50, 50, size=(10, 4))
-    pts = np.vstack([c + rng.normal(scale=0.4, size=(300, 4)) for c in centers])
-    seeds = pts[rng.choice(pts.shape[0], 10, replace=False)]
-    result = lloyd(pts, seeds, kernel="blas")
-    counters = result.counters
-    assert counters.kernel == "blas"
-    assert counters.gemm_calls > 0
-    assert counters.refine_rows >= 0
-    assert counters.bound_groups > 0
-    # Accounting covers the executed passes (the trajectory itself may
-    # differ from dense, so compare against this run's own pass count).
-    dense_cost = counters.assign_calls * pts.shape[0] * 10
-    assert (
-        counters.distance_evals_computed + counters.distance_evals_skipped
-        == dense_cost
-    )
-
-
 def test_counters_dict_roundtrip_and_merge():
     # "hamerly" is a retired kernel: the name is a label, never resolved.
     a = KernelCounters("hamerly", 100, 50, 10, 2, 0.5)
@@ -354,19 +301,22 @@ def test_counters_from_dict_keeps_unknown_kernel_name_verbatim():
     counters = KernelCounters.from_dict(payload)
     assert counters.kernel == "hamerly"
     assert counters.as_dict() == payload
+    # blas runs also wrote two fields this version no longer has.
+    blas = dict(payload, kernel="blas", gemm_calls=7, refine_rows=13)
+    counters = KernelCounters.from_dict(blas)
+    assert counters.kernel == "blas"
+    assert counters.as_dict() == dict(payload, kernel="blas")
+    assert len(fields(KernelCounters)) == 7
 
 
 def test_counters_dict_carries_new_fields():
-    a = KernelCounters("blas", gemm_calls=7, refine_rows=13, bound_groups=5)
+    a = KernelCounters("elkan", bound_groups=5)
     payload = a.as_dict()
-    assert payload["gemm_calls"] == 7
-    assert payload["refine_rows"] == 13
     assert payload["bound_groups"] == 5
     roundtrip = KernelCounters.from_dict(payload)
     assert roundtrip == a
     merged = merge_counter_dicts({}, payload)
     merged = merge_counter_dicts(merged, payload)
-    assert merged["gemm_calls"] == 14
     assert merged["bound_groups"] == 10
 
 
@@ -376,8 +326,8 @@ def test_counters_dict_carries_new_fields():
 
 
 def test_available_kernels_lists_all_four():
-    # (Historical test id, pinned by the tier-1 floor list: three today.)
-    assert available_kernels() == ("blas", "dense", "elkan")
+    # (Historical test id, pinned by the tier-1 floor list: two today.)
+    assert available_kernels() == ("dense", "elkan")
 
 
 def test_resolve_kernel_precedence(monkeypatch):
@@ -398,40 +348,43 @@ def test_resolve_kernel_precedence(monkeypatch):
 def test_resolve_kernel_rejects_unknown(monkeypatch):
     """Unknown and retired names alike: one error naming value and choices."""
     monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-    for name in ("fancy", "hamerly", "tiled"):
+    for name in ("fancy", "hamerly", "tiled", "blas"):
         with pytest.raises(ValueError, match="unknown k-means kernel") as info:
             resolve_kernel(name)
         message = str(info.value)
         assert repr(name) in message
-        assert "blas, dense, elkan" in message
+        assert "dense, elkan" in message
         assert KERNEL_ENV_VAR not in message
 
 
 def test_resolve_kernel_names_env_var_for_bad_env_value(monkeypatch):
     """A bad REPRO_KMEANS_KERNEL value must be blamed on the env var."""
-    for name in ("fancy", "hamerly"):
+    for name in ("fancy", "hamerly", "blas"):
         monkeypatch.setenv(KERNEL_ENV_VAR, name)
         with pytest.raises(ValueError) as excinfo:
             resolve_kernel(None)
         message = str(excinfo.value)
         assert KERNEL_ENV_VAR in message
         assert repr(name) in message
-        assert "blas, dense, elkan" in message
+        assert "dense, elkan" in message
 
 
-def test_naming_blas_is_the_whole_opt_in(monkeypatch):
-    """No second switch: the name selects it, and nothing else reads one."""
+def test_retired_blas_name_fails_loudly(monkeypatch):
+    """Named as an argument or in the environment, lloyd refuses blas."""
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(120, 3))
     monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-    # The retired waiver variable is not consulted, whatever it holds.
+    # Nor is the waiver variable of the blas era consulted.
     monkeypatch.setenv("REPRO_KMEANS_EXACT", "maybe")
     assert isinstance(resolve_kernel(None), DenseKernel)
-    kernel = resolve_kernel("blas")
-    assert isinstance(kernel, BlasKernel) and not kernel.exact
-    instance = BlasKernel()
-    assert resolve_kernel(instance) is instance
+    with pytest.raises(ValueError, match="'blas'; expected one of dense, elkan"):
+        lloyd(pts, pts[:5], kernel="blas")
     monkeypatch.setenv(KERNEL_ENV_VAR, "blas")
-    assert isinstance(resolve_kernel(None), BlasKernel)
-    assert resolve_kernel("dense").exact and resolve_kernel("elkan").exact
+    with pytest.raises(ValueError) as excinfo:
+        lloyd(pts, pts[:5])
+    message = str(excinfo.value)
+    assert f"{KERNEL_ENV_VAR}='blas'" in message
+    assert message.endswith("expected one of dense, elkan")
 
 
 def test_env_knob_drives_lloyd(monkeypatch):

@@ -3,25 +3,27 @@
 Every exact kernel scores at most ``_TILE_BYTES`` of its (points ×
 centroids) distance matrix at a time.  These tests hold the tiled pass to
 the untiled one — a single ``cdist`` over all rows, then the row
-``argmin`` — bit for bit, at and around tile edges, and hold one ``lloyd``
-call to a working set of about the points themselves.
+``argmin`` — bit for bit, at and around tile edges, hold one ``lloyd``
+call to a working set of about the points themselves, and check that the
+pass stays on the caller's thread and off BLAS.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
 from repro.core import kernels
-from repro.core.kernels import (
-    DenseKernel,
-    ElkanKernel,
-    _tile_rows,
-    assign_helper_budget,
-)
+from repro.core.kernels import DenseKernel, ElkanKernel, _tile_rows
 from repro.core.kmeans import lloyd
 from repro.core.quality import assign_to_nearest
 from repro.data.generator import generate_cell_points
@@ -45,11 +47,8 @@ def cell(n, seed=29):
 
 
 def one_pass(kernel, points, centroids):
-    kernel.start(points, np.ones(points.shape[0]))
-    try:
-        return kernel.assign(centroids)
-    finally:
-        kernel.finish()
+    kernel.start(points)
+    return kernel.assign(centroids)
 
 
 def assert_same_pass(got, want):
@@ -61,29 +60,17 @@ def assert_same_pass(got, want):
     "n", [TILE - 1, TILE, TILE + 1, 3 * TILE, 3 * TILE + 17]
 )
 @pytest.mark.parametrize("kernel", [DenseKernel, ElkanKernel])
-def test_tiled_pass_equals_untiled(budget, n, kernel):
-    budget(0)
+def test_tiled_pass_equals_untiled(n, kernel):
     points, seeds = cell(n)
     want = untiled(points, seeds)
     assert_same_pass(one_pass(kernel(), points, seeds), want)
     assert_same_pass(assign_to_nearest(points, seeds), want)
 
 
-def test_helper_blocks_need_not_start_on_a_tile_edge(budget, block_threads):
-    n = 2 * TILE + 1_000  # two blocks of TILE + 500 rows
-    points, seeds = cell(n)
-    budget(1)
-    got = one_pass(DenseKernel(), points, seeds)
-    assert any(name.startswith("lloyd-assign") for name in block_threads)
-    assert len(block_threads) == 2
-    assert_same_pass(got, untiled(points, seeds))
-
-
-@pytest.mark.parametrize("helpers", [0, 1])
-def test_whole_run_equals_untiled_run(budget, monkeypatch, helpers):
+@pytest.mark.parametrize("seed", [0, 1])
+def test_whole_run_equals_untiled_run(monkeypatch, seed):
     """A lloyd run with many small tiles has the bits of a one-tile run."""
-    points, seeds = cell(7_777)
-    budget(helpers)
+    points, seeds = cell(7_777, seed=seed)
     monkeypatch.setattr(kernels, "_TILE_BYTES", 1 << 40)
     ref = {name: lloyd(points, seeds, max_iter=25, kernel=name)
            for name in ("dense", "elkan")}
@@ -101,10 +88,8 @@ def test_whole_run_equals_untiled_run(budget, monkeypatch, helpers):
         )
 
 
-def test_ties_across_a_tile_boundary_keep_the_first_index(
-    budget, block_threads, monkeypatch
-):
-    """Equidistant centroids, duplicate rows cut by tile and block edges."""
+def test_ties_across_a_tile_boundary_keep_the_first_index(monkeypatch):
+    """Equidistant centroids, duplicate rows cut by tile edges."""
     lattice = np.array(
         [[x, y] for x in range(5) for y in range(5)], dtype=np.float64
     )
@@ -117,15 +102,11 @@ def test_ties_across_a_tile_boundary_keep_the_first_index(
     full = cdist(points, grid, metric="sqeuclidean")
     assert np.all((full == full.min(axis=1, keepdims=True)).sum(axis=1) >= 2)
     want = untiled(points, grid)
-    # 50-row tiles: tile edges fall inside runs of duplicates, and the
-    # helper's block starts mid-run and mid-tile (row 1 337).
+    # 50-row tiles: tile edges fall inside runs of duplicates.
     monkeypatch.setattr(kernels, "_TILE_BYTES", 50 * K * 8)
     assert _tile_rows(K) == 50
-    for helpers in (0, 1):
-        budget(helpers)
-        for kernel in (DenseKernel, ElkanKernel):
-            assert_same_pass(one_pass(kernel(), points, grid), want)
-    assert any(name.startswith("lloyd-assign") for name in block_threads)
+    for kernel in (DenseKernel, ElkanKernel):
+        assert_same_pass(one_pass(kernel(), points, grid), want)
     assert_same_pass(assign_to_nearest(points, grid), want)
 
 
@@ -161,14 +142,8 @@ def traced_peak(points, seeds, kernel):
         tracemalloc.stop()
 
 
-def test_lloyd_peak_memory_is_about_the_points(budget):
-    """n = 100 000, k = 40, d = 6: the untiled pass peaked at 8.8x.
-
-    A pass holds one tile per thread, so at most one helper is allowed:
-    the bound then holds on any host, and with no helper at all under a
-    one-CPU affinity.
-    """
-    budget(min(assign_helper_budget(), 1))
+def test_lloyd_peak_memory_is_about_the_points():
+    """n = 100 000, k = 40, d = 6: the untiled pass peaked at 8.8x."""
     points, seeds = cell(100_000)
     peak = traced_peak(points, seeds, "dense")
     assert peak <= 2 * points.nbytes, peak / points.nbytes
@@ -179,3 +154,62 @@ def test_elkan_never_holds_an_n_by_k_matrix():
     points, seeds = cell(100_000)
     peak = traced_peak(points, seeds, "elkan")
     assert peak < points.shape[0] * K * 8, peak / points.nbytes
+
+
+def test_dense_run_starts_no_thread(monkeypatch):
+    """A forced-dense run at n = 100 000, k = 40 scores on the caller only."""
+    points, seeds = cell(100_000)
+    before = threading.enumerate()
+    scored_on = set()
+    real = kernels.cdist
+
+    def recording(*args, **kwargs):
+        scored_on.add((threading.current_thread().name, threading.active_count()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "cdist", recording)
+    result = lloyd(points, seeds, max_iter=5, kernel="dense")
+    assert result.kernel == "dense"
+    assert scored_on == {(threading.current_thread().name, len(before))}
+    assert threading.enumerate() == before
+
+
+# ---------------------------------------------------------------------------
+# The exact iteration uses no BLAS
+# ---------------------------------------------------------------------------
+
+_PROBE = """
+import hashlib, json
+import numpy as np
+from repro.core.kmeans import lloyd
+from repro.core.quality import sse
+from repro.data.generator import generate_cell_points
+points = generate_cell_points(75_000, seed=29, dim=6)
+rng = np.random.default_rng(41)
+seeds = points[rng.choice(75_000, size=40, replace=False)]
+weights = rng.uniform(0.5, 2.0, size=75_000)
+result = lloyd(points, seeds, max_iter=25, kernel="dense")
+print(json.dumps({
+    "sse": result.sse.hex(),
+    "centroids": hashlib.sha256(result.centroids.tobytes()).hexdigest(),
+    "iterations": result.iterations,
+    "quality_sse": sse(points, seeds, weights).hex(),
+}))
+"""
+
+
+def test_sse_bits_do_not_depend_on_blas_threads():
+    src = str(Path(kernels.__file__).resolve().parents[2])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        env.pop("REPRO_KMEANS_KERNEL", None)
+        done = subprocess.run(
+            [sys.executable, "-c", _PROBE],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        outputs.append(json.loads(done.stdout.strip().splitlines()[-1]))
+    assert outputs[0] == outputs[1]

@@ -9,7 +9,6 @@ from repro.core.model import ClusterModel
 from repro.serve.registry import ModelRegistry, ServeError, UnknownCellError
 from repro.stream.checkpoint import JOURNAL_FILENAME, JournalWriter, read_journal
 from repro.stream.query import Query
-from tests.conftest import assert_within_blas_tolerance
 
 
 @pytest.fixture
@@ -167,7 +166,7 @@ class TestQueries:
             assert result.model_version == len(chunks)
 
     def test_kernel_name_alone_selects_the_tier(self, tmp_path, chunks, rng):
-        """elkan keeps the bits; blas (folds *and* assigns) stays close."""
+        """elkan keeps the bits, in folds and in assigns."""
         queries = rng.normal(size=(40, 3))
 
         def serve(kernel):
@@ -179,17 +178,27 @@ class TestQueries:
                 model = registry.summary("cell").model
                 return model, registry.assign("cell", queries)
 
-        (dense, dense_hits), (elkan, elkan_hits), (blas, blas_hits) = (
-            serve(kernel) for kernel in ("dense", "elkan", "blas")
+        (dense, dense_hits), (elkan, elkan_hits) = (
+            serve(kernel) for kernel in ("dense", "elkan")
         )
         np.testing.assert_array_equal(dense.centroids, elkan.centroids)
         np.testing.assert_array_equal(
             dense_hits.assignments, elkan_hits.assignments
         )
-        assert_within_blas_tolerance(np.vstack(chunks), dense, blas)
-        np.testing.assert_allclose(
-            blas_hits.centroids, dense_hits.centroids, atol=1e-6
+        np.testing.assert_array_equal(
+            dense_hits.sq_dists, elkan_hits.sq_dists
         )
+
+    @pytest.mark.parametrize("kernel", ["bogus", "blas"])
+    def test_bad_kernel_name_is_refused_at_construction(self, tmp_path, kernel):
+        with pytest.raises(
+            ValueError,
+            match=f"unknown k-means kernel '{kernel}'; "
+            "expected one of dense, elkan",
+        ):
+            ModelRegistry(tmp_path / "run", k=4, kernel=kernel, fsync=False)
+        # Refused before the registry touched its run directory.
+        assert not (tmp_path / "run").exists()
 
     def test_window_covers_trailing_chunks(self, tmp_path, chunks):
         with ModelRegistry(tmp_path / "run", k=4, fsync=False) as registry:

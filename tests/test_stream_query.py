@@ -10,7 +10,6 @@ from repro.data.gridcell import GridCell, GridCellId
 from repro.data.gridio import write_bucket_dir
 from repro.stream.query import Query, QueryError
 from repro.stream.scheduler import ResourceManager
-from tests.conftest import assert_within_blas_tolerance
 
 
 @pytest.fixture
@@ -66,24 +65,26 @@ class TestExecution:
         assert result.execution.metrics.wall_seconds > 0
 
     def test_with_kernel_name_alone_selects_the_tier(self, cells):
-        """One knob: elkan keeps the bits, naming blas is the whole waiver."""
+        """One knob: elkan keeps the bits; retired names are refused."""
         def run(kernel):
             query = Query.scan_cells(cells).partition(3)
             query = query.cluster(k=5, restarts=2, max_iter=50).merge()
             return query.with_seed(0).with_kernel(kernel).execute()
 
-        dense, elkan, blas = run("dense"), run("elkan"), run("blas")
-        for key, points in cells.items():
+        dense, elkan = run("dense"), run("elkan")
+        for key in cells:
             np.testing.assert_array_equal(
                 dense.models[key].centroids, elkan.models[key].centroids
             )
-            assert_within_blas_tolerance(
-                points, dense.models[key], blas.models[key]
-            )
-        counters = blas.execution.metrics.kernel_counters
-        assert {c["kernel"] for c in counters.values()} == {"blas"}
-        with pytest.raises(QueryError, match="unknown k-means kernel 'hamerly'"):
-            Query.scan_cells(cells).with_kernel("hamerly")
+        counters = elkan.execution.metrics.kernel_counters
+        assert {c["kernel"] for c in counters.values()} == {"elkan"}
+        for retired in ("hamerly", "blas"):
+            with pytest.raises(
+                QueryError,
+                match=f"unknown k-means kernel '{retired}'; "
+                "expected one of dense, elkan",
+            ):
+                Query.scan_cells(cells).with_kernel(retired)
 
     def test_merge_defaults_to_cluster_k(self, cells):
         result = (

@@ -163,8 +163,9 @@ class TestCrashAndResume:
         """Recorded kernel names are labels: nothing resolves them.
 
         Journals written before the ``hamerly`` kernel was deleted carry
-        its name in their partition counters; they must replay exactly
-        like any other journal.
+        its name in their partition counters, and those written by the
+        ``blas`` kernel also carry its ``gemm_calls`` / ``refine_rows``
+        fields; they must replay exactly like any other journal.
         """
         finished = checkpointed_query(bucket_dir, tmp_path / "run").execute()
         state = read_journal(tmp_path / "run" / JOURNAL_FILENAME)
@@ -174,7 +175,7 @@ class TestCrashAndResume:
             for index in sorted(state.partitions[cell])
         ]
 
-        def resume_from_copy(name, rename_every):
+        def resume_from_copy(name, rename_every, retired=None):
             run_dir = tmp_path / name
             run_dir.mkdir()
             with JournalWriter(run_dir / JOURNAL_FILENAME, fsync=False) as out:
@@ -182,7 +183,7 @@ class TestCrashAndResume:
                 for position, message in enumerate(messages):
                     counters = dict(message.kernel_counters)
                     if rename_every and position % rename_every == 0:
-                        counters["kernel"] = "hamerly"
+                        counters.update(retired or {"kernel": "hamerly"})
                     out.append_partition(
                         replace(message, kernel_counters=counters)
                     )
@@ -190,8 +191,13 @@ class TestCrashAndResume:
 
         control = resume_from_copy("verbatim", rename_every=0)
         old = resume_from_copy("retired-name", rename_every=2)
+        blas = resume_from_copy(
+            "blas-fields", rename_every=2,
+            retired={"kernel": "blas", "gemm_calls": 7, "refine_rows": 13},
+        )
         assert_models_bit_identical(finished.models, old.models)
-        for run in (control, old):
+        assert_models_bit_identical(finished.models, blas.models)
+        for run in (control, old, blas):
             stats = run.execution.metrics.checkpoint
             assert stats.resumed and stats.cells_replayed == 0
             assert stats.partitions_replayed == len(messages)

@@ -29,12 +29,13 @@ from repro.stream.shard import (
     SHARD_METHOD,
     CellTask,
     ShardConfig,
+    ShardCoordinator,
     cell_journal_path,
     run_sharded,
 )
 from repro.stream.supervision import RetryPolicy
 from repro.stream.tracing import metrics_to_dict
-from tests.conftest import assert_within_blas_tolerance, make_blobs
+from tests.conftest import make_blobs
 
 
 def small_cells(n_cells=6, n_points=200, dim=2):
@@ -136,21 +137,31 @@ class TestFaultFree:
         assert not metrics.recoveries
 
     def test_kernel_name_alone_selects_the_tier(self, cells, baseline):
-        """elkan keeps the bits; naming blas is the whole waiver."""
+        """elkan keeps the bits."""
         models, _ = baseline
         elkan, _ = run_sharded(
             cells, k=4, n_chunks=4, seed=42, config=fast_config(2),
             kernel="elkan",
         )
         assert_models_bit_identical(models, elkan)
-        blas, _ = run_sharded(
-            cells, k=4, n_chunks=4, seed=42, config=fast_config(2),
-            kernel="blas",
+
+    @pytest.mark.parametrize("kernel", ["blas", "bogus"])
+    def test_bad_kernel_name_fails_before_any_worker_starts(
+        self, cells, kernel, monkeypatch
+    ):
+        """Not an empty model flagged incomplete: a ValueError, up front."""
+        started = []
+        monkeypatch.setattr(
+            ShardCoordinator, "_spawn_worker",
+            lambda self, *args, **kwargs: started.append(args),
         )
-        for cell_id, points in cells.items():
-            assert_within_blas_tolerance(
-                points, models[cell_id], blas[cell_id]
-            )
+        with pytest.raises(
+            ValueError,
+            match=f"unknown k-means kernel '{kernel}'; "
+            "expected one of dense, elkan",
+        ):
+            run_sharded(cells, k=3, config=fast_config(1), kernel=kernel)
+        assert not started
 
     def test_worker_count_does_not_change_bits(self, cells, baseline):
         models, _ = baseline
