@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion
 from repro.core.kmeans import DEFAULT_MAX_ITER, lloyd
 from repro.core.model import ClusterModel, as_points
 from repro.core.quality import mse as evaluate_mse
@@ -146,7 +145,6 @@ class Birch:
         threshold: maximum radius of a leaf CF after absorbing a point.
         branching: maximum entries per internal node.
         leaf_entries: maximum entries per leaf node.
-        criterion: convergence criterion for the global k-means.
         max_iter: Lloyd cap for the global k-means.
 
     Example:
@@ -164,7 +162,6 @@ class Birch:
         threshold: float = 0.5,
         branching: int = 50,
         leaf_entries: int = 50,
-        criterion: ConvergenceCriterion | None = None,
         max_iter: int = DEFAULT_MAX_ITER,
     ) -> None:
         if k < 1:
@@ -177,7 +174,6 @@ class Birch:
         self.threshold = threshold
         self.branching = branching
         self.leaf_entries = leaf_entries
-        self.criterion = criterion
         self.max_iter = max_iter
         self._root: CFNode | None = None
 
@@ -259,7 +255,6 @@ class Birch:
                 centroids,
                 seeds,
                 weights=weights,
-                criterion=self.criterion,
                 max_iter=self.max_iter,
             )
             summary = result.to_weighted_set()

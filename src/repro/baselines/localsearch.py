@@ -30,7 +30,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion
 from repro.core.kmeans import DEFAULT_MAX_ITER
 from repro.core.model import ClusterModel, WeightedCentroidSet, as_points
 from repro.core.quality import mse as evaluate_mse
@@ -50,7 +49,6 @@ class StreamLocalSearch:
         retention_limit: maximum retained weighted centers before a
             hierarchical compression is forced.
         restarts: seed restarts for each batch clustering.
-        criterion: convergence criterion for the inner k-means.
         max_iter: Lloyd cap for the inner k-means.
         seed: RNG seed.
 
@@ -70,7 +68,6 @@ class StreamLocalSearch:
         batch_size: int = 1_000,
         retention_limit: int | None = None,
         restarts: int = 3,
-        criterion: ConvergenceCriterion | None = None,
         max_iter: int = DEFAULT_MAX_ITER,
         seed: int | None = None,
     ) -> None:
@@ -86,7 +83,6 @@ class StreamLocalSearch:
         if self.retention_limit < k:
             raise ValueError("retention_limit must be >= k")
         self.restarts = restarts
-        self.criterion = criterion
         self.max_iter = max_iter
         self._rng = np.random.default_rng(seed)
 
@@ -161,7 +157,6 @@ class StreamLocalSearch:
             self.k,
             self.restarts,
             self._rng,
-            criterion=self.criterion,
             max_iter=self.max_iter,
         )
         return report.best.to_weighted_set(source="batch")
@@ -176,7 +171,6 @@ class StreamLocalSearch:
             pooled.centroids,
             seeds,
             weights=pooled.weights,
-            criterion=self.criterion,
             max_iter=self.max_iter,
         )
         return result.to_weighted_set(source="compressed")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion, MseDeltaCriterion
+from repro.core.convergence import mse_converged
 from repro.core.kmeans import DEFAULT_MAX_ITER, lloyd
 from repro.core.model import ClusterModel, as_points
 from repro.core.quality import pairwise_sq_distances
@@ -48,7 +48,6 @@ def method_a_cells_in_parallel(
     restarts: int = 10,
     max_workers: int = 4,
     seed: int | None = None,
-    criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> dict[str, ClusterModel]:
     """Method A: assign each grid cell to a worker, serial k-means inside.
@@ -71,7 +70,6 @@ def method_a_cells_in_parallel(
         model = SerialKMeans(
             k,
             restarts=restarts,
-            criterion=criterion,
             max_iter=max_iter,
             seed=child_seed,
         ).fit(points)
@@ -87,7 +85,6 @@ def method_b_restarts_in_parallel(
     restarts: int = 10,
     max_workers: int = 4,
     seed: int | None = None,
-    criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> ClusterModel:
     """Method B: one restart per worker for a single cell; keep min MSE."""
@@ -101,7 +98,7 @@ def method_b_restarts_in_parallel(
     def run(child_seed: int):
         rng = np.random.default_rng(child_seed)
         seeds = random_seeds(pts, k, rng)
-        return lloyd(pts, seeds, criterion=criterion, max_iter=max_iter)
+        return lloyd(pts, seeds, max_iter=max_iter)
 
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         results = list(pool.map(run, child_seeds))
@@ -143,7 +140,6 @@ def method_c_distance_partitioned(
     k: int,
     n_slaves: int = 4,
     seed: int | None = None,
-    criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[ClusterModel, MethodCStats]:
     """Method C: distance-partitioned k-means with migration accounting.
@@ -165,7 +161,6 @@ def method_c_distance_partitioned(
     rng = np.random.default_rng(seed)
     centroids = random_seeds(pts, k, rng)
     k_eff = centroids.shape[0]
-    test = criterion if criterion is not None else MseDeltaCriterion()
 
     # Slave ownership: centroid j lives on slave j % n_slaves.
     owner_of_centroid = np.arange(k_eff) % n_slaves
@@ -194,14 +189,13 @@ def method_c_distance_partitioned(
         occupied = counts > 0
         new_centroids = centroids.copy()
         new_centroids[occupied] = sums[occupied] / counts[occupied, None]
-        shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
 
         stats.iterations += 1
         stats.broadcasts += n_slaves * (n_slaves - 1)
 
         cur_mse = float(sq.mean())
-        if test.converged(prev_mse, cur_mse, shift):
+        if mse_converged(prev_mse, cur_mse):
             break
         prev_mse = cur_mse
 

@@ -13,7 +13,6 @@ import time
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion
 from repro.core.kmeans import DEFAULT_MAX_ITER
 from repro.core.model import ClusterModel, as_points
 from repro.core.restarts import best_of_restarts
@@ -28,13 +27,10 @@ class SerialKMeans:
         k: number of centroids.
         restarts: random-seed restarts (the paper's ``R``; 10 in Section 5).
         seeding: seed strategy (paper: ``"random"``).
-        criterion: convergence criterion (paper's 1e-9 MSE delta when
-            ``None``).
         max_iter: Lloyd iteration cap per restart.
         kernel: Lloyd assignment backend name (exact backends are a
             bit-identical performance knob; ``None`` consults
             ``REPRO_KMEANS_KERNEL``).
-        early_abandon: cut short restarts that cannot beat the incumbent.
         seed: RNG seed.
 
     Example:
@@ -51,10 +47,8 @@ class SerialKMeans:
         k: int,
         restarts: int = 10,
         seeding: str = "random",
-        criterion: ConvergenceCriterion | None = None,
         max_iter: int = DEFAULT_MAX_ITER,
         kernel: str | None = None,
-        early_abandon: bool = False,
         seed: int | None = None,
     ) -> None:
         if k < 1:
@@ -62,10 +56,8 @@ class SerialKMeans:
         self.k = k
         self.restarts = restarts
         self.seeding = seeding
-        self.criterion = criterion
         self.max_iter = max_iter
         self.kernel = kernel
-        self.early_abandon = early_abandon
         self._rng = np.random.default_rng(seed)
 
     def fit(self, points: np.ndarray) -> ClusterModel:
@@ -78,10 +70,8 @@ class SerialKMeans:
             self.restarts,
             self._rng,
             seeding=self.seeding,
-            criterion=self.criterion,
             max_iter=self.max_iter,
             kernel=self.kernel,
-            early_abandon=self.early_abandon,
         )
         elapsed = time.perf_counter() - start
         best = report.best
@@ -102,6 +92,5 @@ class SerialKMeans:
                 "kernel_counters": (
                     report.counters.as_dict() if report.counters else None
                 ),
-                "abandoned_runs": report.abandoned_runs,
             },
         )

@@ -18,12 +18,7 @@ from repro.core.checks import (
     ValidationReport,
     validate_model,
 )
-from repro.core.convergence import (
-    PAPER_MSE_DELTA,
-    CentroidShiftCriterion,
-    MseDeltaCriterion,
-    RelativeMseCriterion,
-)
+from repro.core.convergence import PAPER_MSE_DELTA, mse_converged
 from repro.core.ecvq import EcvqResult, ecvq
 from repro.core.incremental import IncrementalClusterer, update_model
 from repro.core.model_selection import (
@@ -49,9 +44,7 @@ __all__ = [
     "ValidationReport",
     "validate_model",
     "DEFAULT_MAX_ITER",
-    "CentroidShiftCriterion",
-    "MseDeltaCriterion",
-    "RelativeMseCriterion",
+    "mse_converged",
     "ClusterModel",
     "KMeansResult",
     "WeightedCentroidSet",

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion
 from repro.core.ecvq import EcvqResult, ecvq
 from repro.core.kmeans import DEFAULT_MAX_ITER
 from repro.core.merge import MergeResult, merge_kmeans
@@ -54,7 +53,6 @@ class EcvqPartialMergeKMeans:
         max_k: ECVQ codebook ceiling per partition (defaults to ``2 * k``).
         lam: rate/distortion trade-off; larger prunes harder.
         n_chunks: partitions when :meth:`fit` receives a flat array.
-        criterion: convergence criterion for the merge step.
         max_iter: iteration cap for all stages.
         seed: RNG seed.
     """
@@ -65,7 +63,6 @@ class EcvqPartialMergeKMeans:
         max_k: int | None = None,
         lam: float = 1.0,
         n_chunks: int = 5,
-        criterion: ConvergenceCriterion | None = None,
         max_iter: int = DEFAULT_MAX_ITER,
         seed: int | None = None,
     ) -> None:
@@ -77,7 +74,6 @@ class EcvqPartialMergeKMeans:
             raise ValueError("max_k must be >= k")
         self.lam = lam
         self.n_chunks = n_chunks
-        self.criterion = criterion
         self.max_iter = max_iter
         self._rng = np.random.default_rng(seed)
 
@@ -111,7 +107,6 @@ class EcvqPartialMergeKMeans:
         merged = merge_kmeans(
             [p.summary for p in partials],
             self.k,
-            criterion=self.criterion,
             max_iter=self.max_iter,
         )
         total = time.perf_counter() - start

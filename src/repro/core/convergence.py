@@ -1,97 +1,30 @@
-"""Convergence criteria for iterative clustering.
+"""The paper's stopping rule for Lloyd iteration.
 
-The paper's criterion stops Lloyd iteration when the improvement in mean
-square error between consecutive iterations drops to at most ``1e-9``:
-``MSE(n-1) - MSE(n) <= 1e-9``.  Because a pathological seed set can cycle,
-every criterion here is combined with an iteration cap in the driver.
+Iteration stops when the improvement in mean square error between
+consecutive iterations drops to at most ``1e-9``:
+``MSE(n-1) - MSE(n) <= 1e-9``.  The serial run, every partial and the
+merge share this one rule; because a pathological seed set can cycle, the
+driver also caps the iteration count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = [
-    "PAPER_MSE_DELTA",
-    "ConvergenceCriterion",
-    "MseDeltaCriterion",
-    "RelativeMseCriterion",
-    "CentroidShiftCriterion",
-]
+__all__ = ["PAPER_MSE_DELTA", "mse_converged"]
 
 #: The paper's convergence threshold (Section 2 / experiments Section 5.2).
 PAPER_MSE_DELTA = 1e-9
 
 
-class ConvergenceCriterion:
-    """Interface for deciding when Lloyd iteration has converged.
+def mse_converged(prev_mse: float, cur_mse: float) -> bool:
+    """Return ``True`` when ``0 <= prev_mse - cur_mse <= PAPER_MSE_DELTA``.
 
-    Implementations are stateless; the driver feeds them the previous and
-    current iteration summaries.
+    An infinite ``prev_mse`` (the first iteration) never converges.  A
+    *negative* delta (MSE rose, possible after an empty-cluster repair)
+    does not either: the repair trades a temporary MSE bump for a better
+    final model, so iteration continues.
     """
-
-    def converged(
-        self,
-        prev_mse: float,
-        cur_mse: float,
-        centroid_shift: float,
-    ) -> bool:
-        """Return ``True`` when iteration should stop."""
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class MseDeltaCriterion(ConvergenceCriterion):
-    """The paper's criterion: absolute MSE improvement at most ``tol``.
-
-    A *negative* delta (MSE increased, possible after an empty-cluster
-    repair) does not count as convergence: repairs legitimately trade a
-    temporary MSE bump for a better final model, so iteration continues.
-    """
-
-    tol: float = PAPER_MSE_DELTA
-
-    def converged(
-        self, prev_mse: float, cur_mse: float, centroid_shift: float
-    ) -> bool:
-        if math.isinf(prev_mse):
-            return False
-        delta = prev_mse - cur_mse
-        return 0.0 <= delta <= self.tol
-
-
-@dataclass(frozen=True)
-class RelativeMseCriterion(ConvergenceCriterion):
-    """Stop when the relative MSE improvement falls below ``rtol``.
-
-    Scale-free alternative for data whose coordinate magnitudes make the
-    absolute paper threshold too strict or too loose.
-    """
-
-    rtol: float = 1e-6
-
-    def converged(
-        self, prev_mse: float, cur_mse: float, centroid_shift: float
-    ) -> bool:
-        if math.isinf(prev_mse):
-            return False
-        if prev_mse <= 0.0:
-            return cur_mse <= 0.0
-        delta = prev_mse - cur_mse
-        return 0.0 <= delta <= self.rtol * prev_mse
-
-
-@dataclass(frozen=True)
-class CentroidShiftCriterion(ConvergenceCriterion):
-    """Stop when the largest centroid movement falls below ``tol``.
-
-    Movement-based stopping is stricter than MSE-based stopping near flat
-    optima; it is used by the property-based tests to verify fixed points.
-    """
-
-    tol: float = 1e-12
-
-    def converged(
-        self, prev_mse: float, cur_mse: float, centroid_shift: float
-    ) -> bool:
-        return centroid_shift <= self.tol
+    if math.isinf(prev_mse):
+        return False
+    return 0.0 <= prev_mse - cur_mse <= PAPER_MSE_DELTA

@@ -26,7 +26,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion
 from repro.core.kmeans import DEFAULT_MAX_ITER
 from repro.core.merge import merge_kmeans
 from repro.core.model import ClusterModel, WeightedCentroidSet, as_points
@@ -39,7 +38,6 @@ def fold_summary(
     model: ClusterModel | None,
     summary: WeightedCentroidSet,
     k: int | None = None,
-    criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     kernel: str | None = None,
 ) -> ClusterModel:
@@ -59,7 +57,6 @@ def fold_summary(
         summary: the new chunk's weighted centroid summary.
         k: centroids in the folded model; defaults to ``model.k`` and is
             **required** when ``model`` is ``None`` or empty.
-        criterion: convergence criterion for the merge.
         max_iter: Lloyd cap for the merge.
         kernel: assignment backend for the merge (exact kernels are
             bit-identical; performance knob only).
@@ -81,9 +78,7 @@ def fold_summary(
         k = model.k
     pool = [model.to_weighted_set()] if base_populated else []
     pool.append(summary)
-    merged = merge_kmeans(
-        pool, k, criterion=criterion, max_iter=max_iter, kernel=kernel,
-    )
+    merged = merge_kmeans(pool, k, max_iter=max_iter, kernel=kernel)
     base = model if model is not None else ClusterModel.empty(summary.dim)
     return ClusterModel(
         centroids=merged.model.centroids,
@@ -104,7 +99,6 @@ def update_model(
     new_points: np.ndarray,
     restarts: int = 3,
     rng: np.random.Generator | None = None,
-    criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     k: int | None = None,
     kernel: str | None = None,
@@ -119,7 +113,6 @@ def update_model(
         new_points: newly arrived measurements for the same cell.
         restarts: seed restarts for the new chunk's partial k-means.
         rng: randomness for the partial step (fresh default if ``None``).
-        criterion: convergence criterion for both stages.
         max_iter: Lloyd cap for both stages.
         k: centroids for the update; defaults to ``model.k`` and is
             **required** when ``model`` is an empty watermark.
@@ -148,7 +141,6 @@ def update_model(
         restarts,
         generator,
         source="update",
-        criterion=criterion,
         max_iter=max_iter,
         kernel=kernel,
     )
@@ -156,7 +148,6 @@ def update_model(
         model,
         fresh.summary,
         k=k,
-        criterion=criterion,
         max_iter=max_iter,
         kernel=kernel,
     )
@@ -181,7 +172,6 @@ class IncrementalClusterer:
             re-merging them collectively (1 = fold eagerly, the pure
             incremental discipline; larger values trade memory for the
             collective merge's statistical fairness).
-        criterion: convergence criterion for all stages.
         max_iter: Lloyd cap for all stages.
         seed: RNG seed.
 
@@ -200,7 +190,6 @@ class IncrementalClusterer:
         k: int,
         restarts: int = 3,
         refresh_every: int = 4,
-        criterion: ConvergenceCriterion | None = None,
         max_iter: int = DEFAULT_MAX_ITER,
         seed: int | None = None,
     ) -> None:
@@ -211,7 +200,6 @@ class IncrementalClusterer:
         self.k = k
         self.restarts = restarts
         self.refresh_every = refresh_every
-        self.criterion = criterion
         self.max_iter = max_iter
         self._rng = np.random.default_rng(seed)
         self._retained: list[WeightedCentroidSet] = []
@@ -254,7 +242,6 @@ class IncrementalClusterer:
             self.restarts,
             self._rng,
             source=f"chunk{self._chunks_seen}",
-            criterion=self.criterion,
             max_iter=self.max_iter,
         ).summary
         self._retained.append(summary)
@@ -268,7 +255,6 @@ class IncrementalClusterer:
         merged = merge_kmeans(
             self._retained,
             self.k,
-            criterion=self.criterion,
             max_iter=self.max_iter,
         )
         self._retained = [merged.model]

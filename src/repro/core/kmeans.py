@@ -11,7 +11,8 @@ Algorithm (paper Section 2):
 1. take ``k`` initial seeds,
 2. assign every point to its nearest centroid (squared Euclidean),
 3. recompute each centroid as the weighted mean of its cluster,
-4. repeat until ``MSE(n-1) - MSE(n) <= tol``.
+4. repeat until ``MSE(n-1) - MSE(n) <= 1e-9``
+   (:func:`repro.core.convergence.mse_converged`).
 
 The assignment step (2) is delegated to a pluggable backend from
 :mod:`repro.core.kernels`, selected via the ``kernel=`` argument or the
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion, MseDeltaCriterion
+from repro.core.convergence import mse_converged
 from repro.core.kernels import (
     LloydKernel,
     _pair_sq_distances,
@@ -41,7 +42,7 @@ from repro.core.model import KMeansResult, as_points, as_weights
 __all__ = ["lloyd", "DEFAULT_MAX_ITER"]
 
 #: Safety cap on Lloyd iterations; the paper relies on the MSE-delta
-#: criterion alone, which in floating point can stall on plateaus.
+#: rule alone, which in floating point can stall on plateaus.
 DEFAULT_MAX_ITER = 300
 
 
@@ -85,12 +86,13 @@ def lloyd(
     points: np.ndarray,
     seeds: np.ndarray,
     weights: np.ndarray | None = None,
-    criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     kernel: "str | LloydKernel | None" = None,
-    abandon_sse: float | None = None,
 ) -> KMeansResult:
     """Run weighted Lloyd k-means from the given seeds.
+
+    Iteration stops at the paper's ``MSE(n-1) - MSE(n) <= 1e-9`` or at
+    ``max_iter``, whichever comes first.
 
     Args:
         points: ``(n, d)`` data (raw points, or centroids in the merge step).
@@ -98,8 +100,6 @@ def lloyd(
         weights: optional ``(n,)`` non-negative point weights (the merge
             step passes the partial steps' point counts; ``None`` means
             unit weights and reproduces the classic unweighted algorithm).
-        criterion: convergence test; defaults to the paper's
-            ``MSE(n-1) - MSE(n) <= 1e-9``.
         max_iter: hard iteration cap.
         kernel: assignment backend — a name from
             :func:`~repro.core.kernels.available_kernels`, a
@@ -108,15 +108,6 @@ def lloyd(
             ``elkan`` when ``n·k`` reaches
             ``repro.core.kernels._BOUNDS_MIN_PAIRS``, ``dense`` below.
             Every backend produces bit-identical results.
-        abandon_sse: optional incumbent SSE for restart early-abandoning.
-            When the run's optimistically-projected final SSE (current SSE
-            minus the latest per-iteration improvement times the remaining
-            iterations) still exceeds this value, the run stops early with
-            ``result.abandoned`` set.  This is a heuristic (Lloyd's SSE
-            improvements shrink over time, so the linear projection is a
-            lower bound in practice, not a theorem); abandoned runs always
-            have ``sse`` above the incumbent at the abandoning iteration
-            and are never selected by ``best_of_restarts``.
 
     Returns:
         A :class:`~repro.core.model.KMeansResult`.  ``result.mse`` is the
@@ -134,7 +125,6 @@ def lloyd(
     if k > n:
         raise ValueError(f"cannot fit k={k} clusters to n={n} points")
     wts = as_weights(weights, n)
-    test = criterion if criterion is not None else MseDeltaCriterion()
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
@@ -145,9 +135,7 @@ def lloyd(
 
     backend = resolve_kernel(kernel, pairs=n * k)
     backend.start(pts)
-    return _iterate(
-        backend, pts, wts, weighted_pts, cents, test, max_iter, abandon_sse
-    )
+    return _iterate(backend, pts, wts, weighted_pts, cents, max_iter)
 
 
 def _iterate(
@@ -156,9 +144,7 @@ def _iterate(
     wts: np.ndarray,
     weighted_pts: np.ndarray,
     cents: np.ndarray,
-    test: ConvergenceCriterion,
     max_iter: int,
-    abandon_sse: float | None,
 ) -> KMeansResult:
     """The Lloyd loop of :func:`lloyd` over a started kernel."""
     k = cents.shape[0]
@@ -167,7 +153,6 @@ def _iterate(
     prev_sse = np.inf
     iterations = 0
     converged = False
-    abandoned = False
 
     for iterations in range(1, max_iter + 1):
         assignments, sq_dists = backend.assign(cents)
@@ -176,8 +161,7 @@ def _iterate(
         # membership changed (bit-identical subset bincount).
         cluster_mass = backend.cluster_mass(wts, assignments, k)
         empty = np.flatnonzero(cluster_mass == 0)
-        repaired = bool(empty.size)
-        if repaired:
+        if empty.size:
             _repair_empty_clusters(cents, pts, wts, assignments, sq_dists, empty)
             # A centroid teleported; cached kernel bounds are void.
             backend.invalidate()
@@ -192,7 +176,6 @@ def _iterate(
         new_cents = cents.copy()
         new_cents[occupied] = sums[occupied] / cluster_mass[occupied, None]
 
-        shift = float(np.sqrt(((new_cents - cents) ** 2).sum(axis=1)).max())
         backend.notify_update(cents, new_cents)
         cents = new_cents
 
@@ -200,22 +183,9 @@ def _iterate(
         # the BLAS thread count.
         cur_sse = float(np.multiply(wts, sq_dists).sum())
         cur_mse = cur_sse / total_mass
-        if test.converged(prev_sse / total_mass, cur_mse, shift):
+        if mse_converged(prev_sse / total_mass, cur_mse):
             converged = True
-            prev_sse = cur_sse
             break
-        if (
-            abandon_sse is not None
-            and not repaired
-            and np.isfinite(prev_sse)
-            and cur_sse > abandon_sse
-        ):
-            delta = max(prev_sse - cur_sse, 0.0)
-            projected = cur_sse - delta * (max_iter - iterations)
-            if projected > abandon_sse:
-                abandoned = True
-                prev_sse = cur_sse
-                break
         prev_sse = cur_sse
 
     # Final assignment against the last recalculated centroids so that the
@@ -236,5 +206,4 @@ def _iterate(
         converged=converged,
         kernel=backend.name,
         counters=backend.counters,
-        abandoned=abandoned,
     )

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion
 from repro.core.kernels import KernelCounters, LloydKernel
 from repro.core.kmeans import DEFAULT_MAX_ITER, lloyd
 from repro.core.model import KMeansResult, WeightedCentroidSet
@@ -57,7 +56,6 @@ class MergeResult:
 def _merge_once(
     pooled: WeightedCentroidSet,
     k: int,
-    criterion: ConvergenceCriterion | None,
     max_iter: int,
     kernel: "str | LloydKernel | None" = None,
 ) -> KMeansResult:
@@ -67,7 +65,6 @@ def _merge_once(
         pooled.centroids,
         seeds,
         weights=pooled.weights,
-        criterion=criterion,
         max_iter=max_iter,
         kernel=kernel,
     )
@@ -76,7 +73,6 @@ def _merge_once(
 def merge_kmeans(
     partials: list[WeightedCentroidSet],
     k: int,
-    criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     extra_random_restarts: int = 0,
     rng: np.random.Generator | None = None,
@@ -87,7 +83,6 @@ def merge_kmeans(
     Args:
         partials: one weighted centroid set per partition.
         k: number of centroids in the final model.
-        criterion: convergence criterion (paper default when ``None``).
         max_iter: iteration cap for the merge k-means.
         extra_random_restarts: extension beyond the paper — additionally
             run this many randomly-seeded weighted k-means over the pool
@@ -116,7 +111,7 @@ def merge_kmeans(
         elapsed = time.perf_counter() - start
         return MergeResult(model=pooled, mse=0.0, iterations=0, seconds=elapsed)
     counters = KernelCounters()
-    best = _merge_once(pooled, k, criterion, max_iter, kernel=kernel)
+    best = _merge_once(pooled, k, max_iter, kernel=kernel)
     iterations = best.iterations
     counters.merge(best.counters)
     if extra_random_restarts:
@@ -127,7 +122,6 @@ def merge_kmeans(
                 pooled.centroids,
                 seeds,
                 weights=pooled.weights,
-                criterion=criterion,
                 max_iter=max_iter,
                 kernel=kernel,
             )
@@ -148,7 +142,6 @@ def merge_kmeans(
 def incremental_merge_kmeans(
     partials: list[WeightedCentroidSet],
     k: int,
-    criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     kernel: "str | LloydKernel | None" = None,
 ) -> MergeResult:
@@ -172,7 +165,7 @@ def incremental_merge_kmeans(
         if pooled.k <= k:
             running = pooled
             continue
-        result = _merge_once(pooled, k, criterion, max_iter, kernel=kernel)
+        result = _merge_once(pooled, k, max_iter, kernel=kernel)
         iterations += result.iterations
         last_mse = result.mse
         counters.merge(result.counters)

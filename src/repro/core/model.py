@@ -135,15 +135,12 @@ class KMeansResult:
         sse: weighted sum of squared distances of points to their centroid.
         mse: ``sse`` divided by the total weight mass (the paper's MSE).
         iterations: number of Lloyd iterations executed.
-        converged: whether the MSE-delta criterion was met (as opposed to
+        converged: whether the paper's MSE-delta rule was met (as opposed to
             hitting the iteration cap).
         kernel: name of the assignment backend that produced the result
             (all backends are bit-identical; this is provenance only).
         counters: the kernel's instrumentation (distance evaluations
             computed/skipped, bound-check hits, assignment wall time).
-        abandoned: whether the run was cut short by the restart
-            early-abandon heuristic (its SSE projection could not beat the
-            incumbent best).
     """
 
     centroids: np.ndarray
@@ -155,7 +152,6 @@ class KMeansResult:
     converged: bool
     kernel: str = "dense"
     counters: KernelCounters | None = None
-    abandoned: bool = False
 
     @property
     def k(self) -> int:

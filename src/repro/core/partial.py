@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion
 from repro.core.kernels import KernelCounters, LloydKernel
 from repro.core.kmeans import DEFAULT_MAX_ITER
 from repro.core.model import WeightedCentroidSet, as_points
@@ -51,10 +50,8 @@ def partial_kmeans(
     rng: np.random.Generator,
     source: str = "",
     seeding: str = "random",
-    criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     kernel: "str | LloydKernel | None" = None,
-    early_abandon: bool = False,
 ) -> PartialResult:
     """Cluster one partition and summarise it as weighted centroids.
 
@@ -65,11 +62,9 @@ def partial_kmeans(
         rng: random generator for seed selection.
         source: label recorded on the output set (e.g. ``"P3"``).
         seeding: seed strategy for the restarts (paper: ``"random"``).
-        criterion: convergence criterion (paper default when ``None``).
         max_iter: per-run iteration cap.
         kernel: assignment backend name (see ``docs/kernels.md``)
             forwarded to every restart; exact backends are bit-identical.
-        early_abandon: forward the restart early-abandon heuristic.
 
     Returns:
         A :class:`PartialResult` whose ``summary`` weights sum to ``m``
@@ -83,10 +78,8 @@ def partial_kmeans(
         restarts,
         rng,
         seeding=seeding,
-        criterion=criterion,
         max_iter=max_iter,
         kernel=kernel,
-        early_abandon=early_abandon,
     )
     elapsed = time.perf_counter() - start
     summary = report.best.to_weighted_set(source=source)

@@ -20,9 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion
 from repro.core.kmeans import DEFAULT_MAX_ITER
-from repro.core.merge import MergeResult, incremental_merge_kmeans, merge_kmeans
+from repro.core.merge import MergeResult, merge_kmeans
 from repro.core.model import ClusterModel, as_points
 from repro.core.partial import PartialResult, partial_kmeans
 from repro.core.quality import mse as evaluate_mse
@@ -76,22 +75,16 @@ class PartialMergeKMeans:
         max_workers: partial-operator clones; ``1`` runs partials serially
             on one "machine" as in the paper's single-host measurements,
             larger values model cloned operators on several machines.
-        merge_mode: ``"collective"`` (paper) or ``"incremental"``
-            (the rejected alternative, kept for ablations).
         merge_restarts: extra randomly-seeded merge runs beyond the
             paper's deterministic largest-weight seeding; the best run
             wins.  0 (default) reproduces the paper; 2-3 repairs the
             merge collapses seen with many highly-overlapping chunks.
         seeding: restart seed strategy for partial steps.
-        criterion: convergence criterion (paper's 1e-9 MSE delta when
-            ``None``).
         max_iter: per-run Lloyd iteration cap.
         kernel: Lloyd assignment backend (see ``docs/kernels.md``) used
             by partial and merge steps alike; ``None`` consults
             ``REPRO_KMEANS_KERNEL``.  Exact backends are bit-identical —
             a performance knob only.
-        early_abandon: terminate restarts whose projected SSE cannot beat
-            the incumbent best (heuristic; default off).
         seed: seed for the internal random generator.
 
     Example:
@@ -111,13 +104,10 @@ class PartialMergeKMeans:
         restarts: int = 10,
         n_chunks: int = 5,
         max_workers: int = 1,
-        merge_mode: str = "collective",
         merge_restarts: int = 0,
         seeding: str = "random",
-        criterion: ConvergenceCriterion | None = None,
         max_iter: int = DEFAULT_MAX_ITER,
         kernel: str | None = None,
-        early_abandon: bool = False,
         seed: int | None = None,
     ) -> None:
         if k < 1:
@@ -128,23 +118,16 @@ class PartialMergeKMeans:
             raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if merge_mode not in ("collective", "incremental"):
-            raise ValueError(
-                f"merge_mode must be 'collective' or 'incremental', got {merge_mode!r}"
-            )
         if merge_restarts < 0:
             raise ValueError(f"merge_restarts must be >= 0, got {merge_restarts}")
         self.k = k
         self.restarts = restarts
         self.n_chunks = n_chunks
         self.max_workers = max_workers
-        self.merge_mode = merge_mode
         self.merge_restarts = merge_restarts
         self.seeding = seeding
-        self.criterion = criterion
         self.max_iter = max_iter
         self.kernel = kernel
-        self.early_abandon = early_abandon
         self._rng = np.random.default_rng(seed)
 
     def fit(self, points: np.ndarray) -> PartialMergeReport:
@@ -193,7 +176,7 @@ class PartialMergeKMeans:
             centroids=merge.model.centroids,
             weights=merge.model.weights,
             mse=final_mse,
-            method=f"partial/merge[{self.merge_mode}]",
+            method="partial/merge[collective]",
             partitions=len(chunk_list),
             restarts=self.restarts,
             partial_seconds=sum(p.seconds for p in partials),
@@ -227,10 +210,8 @@ class PartialMergeKMeans:
                 rng,
                 source=label,
                 seeding=self.seeding,
-                criterion=self.criterion,
                 max_iter=self.max_iter,
                 kernel=self.kernel,
-                early_abandon=self.early_abandon,
             )
 
         if self.max_workers == 1 or len(jobs) == 1:
@@ -239,20 +220,10 @@ class PartialMergeKMeans:
             return list(pool.map(run, jobs))
 
     def _run_merge(self, partials: list[PartialResult]) -> MergeResult:
-        """Merge partial summaries per the configured discipline."""
-        summaries = [p.summary for p in partials]
-        if self.merge_mode == "incremental":
-            return incremental_merge_kmeans(
-                summaries,
-                self.k,
-                criterion=self.criterion,
-                max_iter=self.max_iter,
-                kernel=self.kernel,
-            )
+        """Collective merge of the partial summaries (the paper's Step 3)."""
         return merge_kmeans(
-            summaries,
+            [p.summary for p in partials],
             self.k,
-            criterion=self.criterion,
             max_iter=self.max_iter,
             extra_random_restarts=self.merge_restarts,
             rng=self._rng,

@@ -15,7 +15,7 @@ Warm-start contract
 
 All serving state is a *pure function of the journal's contiguous
 record prefix* under a fixed registry configuration ``(k, seed,
-restarts, criterion, max_iter, kernel)``:
+restarts, max_iter, kernel)``:
 
 * journaled ``cell`` records are adopted as each cell's base model
   (bit-identical — the journal codec never round-trips floats through
@@ -49,7 +49,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion
 from repro.core.incremental import fold_summary
 from repro.core.kernels import resolve_kernel
 from repro.core.kmeans import DEFAULT_MAX_ITER
@@ -226,12 +225,11 @@ class ModelRegistry:
             keep their own ``k``.
         seed: base seed for ingest-time partial k-means restarts.
         restarts: seed restarts per ingested chunk.
-        criterion: convergence criterion for all folds and tree merges.
         max_iter: Lloyd cap for all folds and tree merges.
         kernel: assignment backend for all folds and tree merges
             (the kernels are bit-identical; performance knob only).
             An unknown name raises ``ValueError`` here, not at the
-            first ingest.
+            first ingest; so does ``restarts`` or ``max_iter`` below 1.
         ttl_seconds: serve-side staleness horizon — responses from a
             model older than this carry ``stale=True`` (and are counted)
             so callers can trigger refreshes; ``None`` disables.
@@ -251,7 +249,6 @@ class ModelRegistry:
         k: int = 8,
         seed: int = 0,
         restarts: int = 3,
-        criterion: ConvergenceCriterion | None = None,
         max_iter: int = DEFAULT_MAX_ITER,
         kernel: str | None = None,
         ttl_seconds: float | None = None,
@@ -259,6 +256,10 @@ class ModelRegistry:
     ) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
+        if restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {restarts}")
+        if max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
         if ttl_seconds is not None and ttl_seconds <= 0:
             raise ValueError(f"ttl_seconds must be > 0, got {ttl_seconds}")
         resolve_kernel(kernel)
@@ -267,7 +268,6 @@ class ModelRegistry:
         self.k = k
         self.seed = seed
         self.restarts = restarts
-        self.criterion = criterion
         self.max_iter = max_iter
         self.kernel = kernel
         self.ttl_seconds = ttl_seconds
@@ -333,7 +333,6 @@ class ModelRegistry:
                     model,
                     message.summary,
                     k=self._fold_k(model),
-                    criterion=self.criterion,
                     max_iter=self.max_iter,
                     kernel=self.kernel,
                 )
@@ -357,7 +356,6 @@ class ModelRegistry:
 
         return CoresetTree(
             k=self.k,
-            criterion=self.criterion,
             max_iter=self.max_iter,
             kernel=self.kernel,
             node_sink=node_sink,
@@ -461,7 +459,6 @@ class ModelRegistry:
                 self.restarts,
                 _chunk_rng(self.seed, cell_id, index),
                 source=f"serve/P{index}",
-                criterion=self.criterion,
                 max_iter=self.max_iter,
                 kernel=self.kernel,
             )
@@ -478,7 +475,6 @@ class ModelRegistry:
                 model,
                 fresh.summary,
                 k=k,
-                criterion=self.criterion,
                 max_iter=self.max_iter,
                 kernel=self.kernel,
             )

@@ -53,7 +53,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion
 from repro.core.kernels import merge_counter_dicts
 from repro.core.kmeans import DEFAULT_MAX_ITER
 from repro.core.merge import merge_kmeans
@@ -164,8 +163,6 @@ class CoresetTree:
 
     Args:
         k: centroids per node summary and per query answer.
-        criterion: convergence criterion for node/query merges (paper
-            default when ``None``).
         max_iter: Lloyd iteration cap for node/query merges.
         kernel: assignment backend for all merges (exact kernels are
             bit-identical, so this is a pure performance knob).
@@ -179,7 +176,6 @@ class CoresetTree:
     def __init__(
         self,
         k: int,
-        criterion: ConvergenceCriterion | None = None,
         max_iter: int = DEFAULT_MAX_ITER,
         kernel: str | None = None,
         node_sink: Callable[[int, int, WeightedCentroidSet], None] | None = None,
@@ -188,7 +184,6 @@ class CoresetTree:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
-        self.criterion = criterion
         self.max_iter = max_iter
         self.kernel = kernel
         self._node_sink = node_sink
@@ -307,7 +302,6 @@ class CoresetTree:
             result = merge_kmeans(
                 [left.summary, right.summary],
                 self.k,
-                criterion=self.criterion,
                 max_iter=self.max_iter,
                 kernel=self.kernel,
             )
@@ -402,7 +396,6 @@ class CoresetTree:
         result = merge_kmeans(
             [node.summary for node in nodes],
             self.k,
-            criterion=self.criterion,
             max_iter=self.max_iter,
             kernel=self.kernel,
         )
@@ -480,7 +473,6 @@ class CoresetTreeSink(MergeKMeansSink):
     def __init__(
         self,
         k: int,
-        criterion: ConvergenceCriterion | None = None,
         max_iter: int = DEFAULT_MAX_ITER,
         kernel: str | None = None,
         evaluate_on: Mapping[str, np.ndarray] | None = None,
@@ -491,7 +483,6 @@ class CoresetTreeSink(MergeKMeansSink):
     ) -> None:
         super().__init__(
             k=k,
-            criterion=criterion,
             max_iter=max_iter,
             kernel=kernel,
             evaluate_on=evaluate_on,
@@ -529,7 +520,6 @@ class CoresetTreeSink(MergeKMeansSink):
 
             tree = CoresetTree(
                 k=self.k,
-                criterion=self.criterion,
                 max_iter=self.max_iter,
                 kernel=self.kernel,
                 node_sink=node_sink,

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion
 from repro.core.kernels import (
     KernelCounters,
     merge_counter_dicts,
@@ -38,6 +37,7 @@ from repro.core.model import ClusterModel, as_points
 from repro.core.partial import partial_kmeans
 from repro.core.pipeline import split_into_chunks
 from repro.core.quality import mse as evaluate_mse
+from repro.core.seeding import resolve_strategy
 from repro.stream.executor import ExecutionResult, Executor
 from repro.stream.faults import FaultPlan
 from repro.stream.graph import DataflowGraph
@@ -109,7 +109,6 @@ def merge_cell(
     messages: Iterable[CentroidMessage],
     k: int,
     expected: int = 0,
-    criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     kernel: str | None = None,
     evaluate_on: np.ndarray | None = None,
@@ -126,7 +125,6 @@ def merge_cell(
         messages: the cell's partition summaries, in any order.
         k: centroids in the final model.
         expected: partitions the cell was split into (0 = unknown).
-        criterion: convergence criterion for the merge k-means.
         max_iter: Lloyd iteration cap for the merge k-means.
         kernel: Lloyd assignment backend for the merge k-means.
         evaluate_on: the cell's raw points; when given the model's MSE is
@@ -142,7 +140,6 @@ def merge_cell(
     merged = merge_kmeans(
         [m.summary for m in ordered],
         k,
-        criterion=criterion,
         max_iter=max_iter,
         kernel=kernel,
     )
@@ -270,7 +267,6 @@ class PartialKMeansOperator(Transform):
         k: int,
         restarts: int = 10,
         seeding: str = "random",
-        criterion: ConvergenceCriterion | None = None,
         max_iter: int = DEFAULT_MAX_ITER,
         kernel: str | None = None,
         seed_sequence: np.random.SeedSequence | None = None,
@@ -279,13 +275,17 @@ class PartialKMeansOperator(Transform):
         super().__init__(name)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        # Refuse a bad kernel name here, in the process that plans the
-        # run: a worker that failed on it would only drop its partitions.
+        # Refuse a bad recipe here, in the process that plans the run: a
+        # worker that failed on it would only drop its partitions.
+        if restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {restarts}")
+        if max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+        resolve_strategy(seeding)
         resolve_kernel(kernel)
         self.k = k
         self.restarts = restarts
         self.seeding = seeding
-        self.criterion = criterion
         self.max_iter = max_iter
         self.kernel = kernel
         self.seed_sequence = (
@@ -297,7 +297,6 @@ class PartialKMeansOperator(Transform):
             k=self.k,
             restarts=self.restarts,
             seeding=self.seeding,
-            criterion=self.criterion,
             max_iter=self.max_iter,
             kernel=self.kernel,
             seed_sequence=self.seed_sequence,
@@ -320,7 +319,6 @@ class PartialKMeansOperator(Transform):
             chunk_rng(self.seed_sequence, item.cell_id, item.partition),
             source=f"{item.cell_id}/P{item.partition}",
             seeding=self.seeding,
-            criterion=self.criterion,
             max_iter=self.max_iter,
             kernel=self.kernel,
         )
@@ -343,7 +341,6 @@ class PartialKMeansOperator(Transform):
             k=self.k,
             restarts=self.restarts,
             seeding=self.seeding,
-            criterion=self.criterion,
             max_iter=self.max_iter,
             kernel=self.kernel,
             entropy=base.entropy,
@@ -366,7 +363,6 @@ class PartialKMeansSpec:
     k: int
     restarts: int
     seeding: str
-    criterion: ConvergenceCriterion | None
     max_iter: int
     entropy: int
     spawn_key: tuple[int, ...]
@@ -378,7 +374,6 @@ class PartialKMeansSpec:
             k=self.k,
             restarts=self.restarts,
             seeding=self.seeding,
-            criterion=self.criterion,
             max_iter=self.max_iter,
             kernel=self.kernel,
             seed_sequence=np.random.SeedSequence(
@@ -419,7 +414,6 @@ class MergeKMeansSink(Sink):
     def __init__(
         self,
         k: int,
-        criterion: ConvergenceCriterion | None = None,
         max_iter: int = DEFAULT_MAX_ITER,
         kernel: str | None = None,
         evaluate_on: Mapping[str, np.ndarray] | None = None,
@@ -428,7 +422,6 @@ class MergeKMeansSink(Sink):
     ) -> None:
         super().__init__(name)
         self.k = k
-        self.criterion = criterion
         self.max_iter = max_iter
         self.kernel = kernel
         self._evaluate_on = dict(evaluate_on or {})
@@ -514,7 +507,6 @@ class MergeKMeansSink(Sink):
             messages,
             self.k,
             expected=self._expected.get(cell_id, 0),
-            criterion=self.criterion,
             max_iter=self.max_iter,
             kernel=self.kernel,
             evaluate_on=self._evaluate_on.get(cell_id),
@@ -547,7 +539,6 @@ def build_partial_merge_graph(
     resources: ResourceManager | None = None,
     seed: int | None = None,
     evaluate_against_raw: bool = True,
-    criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     kernel: str | None = None,
 ) -> DataflowGraph:
@@ -560,14 +551,12 @@ def build_partial_merge_graph(
     partial = PartialKMeansOperator(
         k=k,
         restarts=restarts,
-        criterion=criterion,
         max_iter=max_iter,
         kernel=kernel,
         seed_sequence=seed_sequence,
     )
     merge = MergeKMeansSink(
         k=k,
-        criterion=criterion,
         max_iter=max_iter,
         kernel=kernel,
         evaluate_on=cells if evaluate_against_raw else None,
@@ -589,7 +578,6 @@ def run_partial_merge_stream(
     resources: ResourceManager | None = None,
     partial_clones: int | None = None,
     seed: int | None = None,
-    criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     fault_plan: FaultPlan | None = None,
     supervision: Mapping[str, SupervisionPolicy] | None = None,
@@ -610,7 +598,6 @@ def run_partial_merge_stream(
         partial_clones: pin the number of partial-operator clones (the
             speed-up experiment's knob); ``None`` lets the planner decide.
         seed: RNG seed for chunking and seeding.
-        criterion: convergence criterion for all k-means stages.
         max_iter: Lloyd iteration cap for all stages.
         fault_plan: optional seeded chaos engine (testing); targeted
             operators are wrapped with deterministic fault injection.
@@ -664,7 +651,6 @@ def run_partial_merge_stream(
             n_chunks=n_chunks,
             resources=envelope,
             seed=seed,
-            criterion=criterion,
             max_iter=max_iter,
             kernel=kernel,
             config=shard_config,
@@ -678,7 +664,6 @@ def run_partial_merge_stream(
         n_chunks=n_chunks,
         resources=envelope,
         seed=seed,
-        criterion=criterion,
         max_iter=max_iter,
         kernel=kernel,
     )

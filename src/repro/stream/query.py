@@ -33,7 +33,6 @@ from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion
 from repro.core.kernels import resolve_kernel
 from repro.core.kmeans import DEFAULT_MAX_ITER
 from repro.stream.checkpoint import (
@@ -172,7 +171,6 @@ class Query:
         k: int,
         restarts: int = 10,
         seeding: str = "random",
-        criterion: ConvergenceCriterion | None = None,
         max_iter: int = DEFAULT_MAX_ITER,
     ) -> "Query":
         """Add the partial k-means stage."""
@@ -184,7 +182,6 @@ class Query:
             "k": k,
             "restarts": restarts,
             "seeding": seeding,
-            "criterion": criterion,
             "max_iter": max_iter,
         }
         return self
@@ -192,7 +189,6 @@ class Query:
     def merge(
         self,
         k: int | None = None,
-        criterion: ConvergenceCriterion | None = None,
         max_iter: int = DEFAULT_MAX_ITER,
     ) -> "Query":
         """Add the merge stage (defaults to the cluster stage's k)."""
@@ -200,7 +196,6 @@ class Query:
             raise QueryError("merge stage specified twice")
         self._state.merge_args = {
             "k": k,
-            "criterion": criterion,
             "max_iter": max_iter,
         }
         return self
@@ -440,7 +435,7 @@ class Query:
         state = self._state
         resources = self._resources()
         cluster = dict(state.cluster_args or {})
-        merge = dict(state.merge_args or {"k": None, "criterion": None,
+        merge = dict(state.merge_args or {"k": None,
                                           "max_iter": cluster["max_iter"]})
         merge_k = merge["k"] if merge["k"] is not None else cluster["k"]
 
@@ -473,7 +468,6 @@ class Query:
             k=cluster["k"],
             restarts=cluster["restarts"],
             seeding=cluster["seeding"],
-            criterion=cluster["criterion"],
             max_iter=cluster["max_iter"],
             kernel=state.kernel,
             seed_sequence=seed_sequence,
@@ -481,7 +475,6 @@ class Query:
         if state.prefix_queries:
             sink: MergeKMeansSink = CoresetTreeSink(
                 k=merge_k,
-                criterion=merge["criterion"],
                 max_iter=merge["max_iter"],
                 kernel=state.kernel,
                 evaluate_on=evaluate_on,
@@ -492,7 +485,6 @@ class Query:
         else:
             sink = MergeKMeansSink(
                 k=merge_k,
-                criterion=merge["criterion"],
                 max_iter=merge["max_iter"],
                 kernel=state.kernel,
                 evaluate_on=evaluate_on,
@@ -612,7 +604,6 @@ class Query:
             resources=self._resources(),
             seed=state.seed,
             merge_k=merge.get("k"),
-            criterion=cluster["criterion"],
             max_iter=cluster["max_iter"],
             kernel=state.kernel,
             config=config,
@@ -632,12 +623,11 @@ class Query:
         """
         state = self._state
         cluster = dict(state.cluster_args or {})
-        merge = dict(state.merge_args or {"k": None, "criterion": None,
+        merge = dict(state.merge_args or {"k": None,
                                           "max_iter": cluster["max_iter"]})
         merge_k = merge["k"] if merge["k"] is not None else cluster["k"]
         sink = CoresetTreeSink(
             k=merge_k,
-            criterion=merge["criterion"],
             max_iter=merge["max_iter"],
             kernel=state.kernel,
             query_every=state.prefix_query_every,
@@ -721,10 +711,14 @@ class Query:
             "restarts": cluster.get("restarts"),
             "seeding": cluster.get("seeding"),
             "max_iter": cluster.get("max_iter"),
-            "criterion": repr(cluster.get("criterion")),
+            # Journals record the stopping rule under these two keys, with
+            # "None" for the paper's rule, the only one this code runs.
+            # Writing that constant keeps such journals resumable, and
+            # validate_manifest refuses one that recorded any other rule.
+            "criterion": "None",
             "merge_k": merge.get("k") or cluster.get("k"),
             "merge_max_iter": merge.get("max_iter", cluster.get("max_iter")),
-            "merge_criterion": repr(merge.get("criterion")),
+            "merge_criterion": "None",
             "seed": state.seed,
         }
 

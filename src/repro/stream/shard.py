@@ -75,7 +75,6 @@ from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceCriterion
 from repro.core.kmeans import DEFAULT_MAX_ITER
 from repro.core.model import ClusterModel
 from repro.core.pipeline import split_into_chunks
@@ -228,7 +227,6 @@ def _merge_cell_messages(
         messages,
         merge_k,
         expected=expected,
-        criterion=partial.criterion,
         max_iter=partial.max_iter,
         kernel=partial.kernel,
         evaluate_on=points,
@@ -555,7 +553,6 @@ class ShardCoordinator:
         resources: ResourceManager | None = None,
         seed: int | None = None,
         merge_k: int | None = None,
-        criterion: ConvergenceCriterion | None = None,
         max_iter: int = DEFAULT_MAX_ITER,
         kernel: str | None = None,
         config: ShardConfig | None = None,
@@ -567,7 +564,6 @@ class ShardCoordinator:
             k=k,
             restarts=restarts,
             seeding=seeding,
-            criterion=criterion,
             max_iter=max_iter,
             kernel=kernel,
             seed_sequence=np.random.SeedSequence(seed),
@@ -985,7 +981,6 @@ def run_sharded(
     resources: ResourceManager | None = None,
     seed: int | None = None,
     merge_k: int | None = None,
-    criterion: ConvergenceCriterion | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     kernel: str | None = None,
     config: ShardConfig | None = None,
@@ -1012,7 +1007,6 @@ def run_sharded(
             to each other regardless of worker count, schedule or
             injected worker faults.
         merge_k: centroids per final model (defaults to ``k``).
-        criterion: convergence criterion for all k-means stages.
         max_iter: Lloyd iteration cap for all stages.
         kernel: Lloyd assignment backend for all stages.
         config: runtime tuning (worker count, transport, heartbeats,
@@ -1034,7 +1028,6 @@ def run_sharded(
         resources=resources,
         seed=seed,
         merge_k=merge_k,
-        criterion=criterion,
         max_iter=max_iter,
         kernel=kernel,
         config=config,

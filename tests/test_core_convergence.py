@@ -4,66 +4,29 @@ from __future__ import annotations
 
 import math
 
-from repro.core.convergence import (
-    PAPER_MSE_DELTA,
-    CentroidShiftCriterion,
-    MseDeltaCriterion,
-    RelativeMseCriterion,
-)
+from repro.core.convergence import PAPER_MSE_DELTA, mse_converged
 
 
 class TestMseDeltaCriterion:
+    """The paper's rule, ``0 <= MSE(n-1) - MSE(n) <= 1e-9``."""
+
     def test_paper_threshold_is_1e_minus_9(self):
         assert PAPER_MSE_DELTA == 1e-9
-        assert MseDeltaCriterion().tol == 1e-9
+        assert mse_converged(1.0, 1.0 - 1e-9)
+        assert not mse_converged(1.0, 1.0 - 2e-9)
 
     def test_never_converges_from_infinite_prev(self):
-        assert not MseDeltaCriterion().converged(math.inf, 100.0, 1.0)
+        assert not mse_converged(math.inf, 100.0)
 
     def test_converges_on_tiny_improvement(self):
-        assert MseDeltaCriterion().converged(1.0, 1.0 - 1e-10, 0.5)
+        assert mse_converged(1.0, 1.0 - 1e-10)
 
     def test_converges_on_zero_improvement(self):
-        assert MseDeltaCriterion().converged(1.0, 1.0, 0.0)
+        assert mse_converged(1.0, 1.0)
 
     def test_keeps_going_on_large_improvement(self):
-        assert not MseDeltaCriterion().converged(2.0, 1.0, 0.5)
+        assert not mse_converged(2.0, 1.0)
 
     def test_mse_increase_does_not_converge(self):
         # An empty-cluster repair can bump MSE up; that must not stop.
-        assert not MseDeltaCriterion().converged(1.0, 1.5, 0.5)
-
-    def test_custom_tolerance(self):
-        assert MseDeltaCriterion(tol=0.1).converged(1.0, 0.95, 0.5)
-
-
-class TestRelativeMseCriterion:
-    def test_scale_free(self):
-        criterion = RelativeMseCriterion(rtol=1e-3)
-        # Same relative improvement at wildly different scales.
-        assert criterion.converged(1e6, 1e6 * (1 - 1e-4), 1.0)
-        assert criterion.converged(1e-6, 1e-6 * (1 - 1e-4), 1.0)
-
-    def test_keeps_going_above_rtol(self):
-        assert not RelativeMseCriterion(rtol=1e-3).converged(1.0, 0.9, 1.0)
-
-    def test_zero_prev_mse(self):
-        criterion = RelativeMseCriterion()
-        assert criterion.converged(0.0, 0.0, 0.0)
-
-    def test_infinite_prev_does_not_converge(self):
-        assert not RelativeMseCriterion().converged(math.inf, 5.0, 1.0)
-
-    def test_increase_does_not_converge(self):
-        assert not RelativeMseCriterion().converged(1.0, 1.1, 0.0)
-
-
-class TestCentroidShiftCriterion:
-    def test_converges_on_zero_shift(self):
-        assert CentroidShiftCriterion().converged(5.0, 4.0, 0.0)
-
-    def test_keeps_going_on_large_shift(self):
-        assert not CentroidShiftCriterion().converged(5.0, 5.0, 1.0)
-
-    def test_ignores_mse_entirely(self):
-        assert CentroidShiftCriterion(tol=0.1).converged(math.inf, math.inf, 0.05)
+        assert not mse_converged(1.0, 1.5)

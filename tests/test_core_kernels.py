@@ -417,49 +417,6 @@ def test_aggregate_weighted_sums_matches_scatter_add():
 
 
 # ---------------------------------------------------------------------------
-# Early abandon
-# ---------------------------------------------------------------------------
-
-
-def test_early_abandon_never_changes_the_winner():
-    rng = np.random.default_rng(13)
-    pts = rng.normal(size=(600, 4))
-    ref = best_of_restarts(pts, k=10, restarts=6, rng=np.random.default_rng(5))
-    fast = best_of_restarts(
-        pts, k=10, restarts=6, rng=np.random.default_rng(5), early_abandon=True
-    )
-    assert fast.best_index == ref.best_index
-    _assert_identical(ref.best, fast.best, "early abandon")
-    assert len(fast.mses) == 6
-    # Abandoned runs did strictly less work.
-    if fast.abandoned_runs:
-        assert fast.counters.distance_evals_computed < (
-            ref.counters.distance_evals_computed
-        )
-
-
-def test_abandoned_result_is_flagged_and_loses():
-    rng = np.random.default_rng(17)
-    pts = rng.normal(size=(400, 3))
-    # Absurdly low incumbent: any run projecting above it abandons fast.
-    result = lloyd(pts, pts[:6], abandon_sse=1e-12, max_iter=100)
-    assert result.abandoned
-    assert result.sse > 1e-12
-    no_abandon = lloyd(pts, pts[:6], max_iter=100)
-    assert not no_abandon.abandoned
-
-
-def test_first_restart_never_abandons():
-    rng = np.random.default_rng(19)
-    pts = rng.normal(size=(200, 3))
-    report = best_of_restarts(
-        pts, k=5, restarts=1, rng=rng, early_abandon=True
-    )
-    assert report.abandoned_runs == 0
-    assert not report.best.abandoned
-
-
-# ---------------------------------------------------------------------------
 # Empty-cluster repair regression (satellite: penalty refresh per donor)
 # ---------------------------------------------------------------------------
 

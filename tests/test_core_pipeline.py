@@ -44,10 +44,6 @@ class TestPartialMergeKMeansValidation:
         with pytest.raises(ValueError, match="restarts"):
             PartialMergeKMeans(k=3, restarts=0)
 
-    def test_rejects_bad_merge_mode(self):
-        with pytest.raises(ValueError, match="merge_mode"):
-            PartialMergeKMeans(k=3, merge_mode="hierarchical")
-
     def test_rejects_bad_workers(self):
         with pytest.raises(ValueError, match="max_workers"):
             PartialMergeKMeans(k=3, max_workers=0)
@@ -111,13 +107,6 @@ class TestPartialMergeKMeansFit:
             points
         )
         assert report.model.partitions == 3
-
-    def test_incremental_mode_runs(self, blobs_2d):
-        report = PartialMergeKMeans(
-            k=4, restarts=2, n_chunks=4, merge_mode="incremental", seed=0
-        ).fit(blobs_2d)
-        assert report.model.method == "partial/merge[incremental]"
-        assert report.model.weights.sum() == pytest.approx(blobs_2d.shape[0])
 
     def test_timing_fields_populated(self, blobs_2d):
         model = PartialMergeKMeans(k=4, restarts=2, n_chunks=4, seed=0).fit(

@@ -203,6 +203,47 @@ class TestCrashAndResume:
             assert stats.partitions_replayed == len(messages)
             assert stats.partitions_recomputed == 0
 
+    def test_journal_recording_the_paper_criterion_resumes(
+        self, bucket_dir, tmp_path
+    ):
+        """Journals from when the stopping rule was a parameter resume.
+
+        They record ``criterion`` / ``merge_criterion`` as ``"None"`` (the
+        paper's rule); any other recorded rule cannot be reproduced, so
+        its journal is refused.
+        """
+        finished = checkpointed_query(bucket_dir, tmp_path / "run").execute()
+        state = read_journal(tmp_path / "run" / JOURNAL_FILENAME)
+        messages = [
+            state.partitions[cell][index]
+            for cell in sorted(state.partitions)
+            for index in sorted(state.partitions[cell])
+        ]
+
+        def write_journal(name, criterion):
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            manifest = dict(
+                state.manifest, criterion=criterion, merge_criterion="None"
+            )
+            with JournalWriter(run_dir / JOURNAL_FILENAME, fsync=False) as out:
+                out.append_manifest(manifest)
+                for message in messages:
+                    out.append_partition(message)
+            return run_dir
+
+        old = checkpointed_query(
+            bucket_dir, write_journal("paper", "None")
+        ).execute()
+        stats = old.execution.metrics.checkpoint
+        assert stats.resumed and stats.partitions_recomputed == 0
+        assert stats.partitions_replayed == len(messages)
+        assert_models_bit_identical(finished.models, old.models)
+
+        foreign = write_journal("foreign", "MseDeltaCriterion(tol=0.1)")
+        with pytest.raises(ManifestMismatchError, match="criterion:"):
+            checkpointed_query(bucket_dir, foreign).execute()
+
     def test_existing_journal_without_resume_refused(
         self, bucket_dir, tmp_path
     ):
