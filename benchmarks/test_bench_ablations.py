@@ -22,6 +22,7 @@ from repro.core.model import WeightedCentroidSet
 from repro.core.partial import partial_kmeans
 from repro.core.pipeline import PartialMergeKMeans
 from repro.core.quality import mse as evaluate_mse
+from repro.core.recipe import Recipe
 from repro.core.seeding import random_seeds
 from repro.data.generator import generate_cell_points
 from repro.data.partitioning import make_partitioner
@@ -35,7 +36,7 @@ def _partials(points: np.ndarray, seed: int) -> list[WeightedCentroidSet]:
     rng = np.random.default_rng(seed)
     chunks = make_partitioner("random", seed=seed).split(points, _CHUNKS)
     return [
-        partial_kmeans(c, _K, restarts=3, rng=rng, max_iter=60).summary
+        partial_kmeans(c, _K, Recipe(restarts=3, max_iter=60), rng).summary
         for c in chunks
     ]
 

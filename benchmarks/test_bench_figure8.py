@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.partial import partial_kmeans
+from repro.core.recipe import Recipe
 from repro.data.generator import generate_cell_points
 from repro.experiments.figures import figure8, render_figure
 
@@ -26,9 +27,8 @@ def test_bench_figure8(benchmark, grid_results):
         lambda: partial_kmeans(
             chunk,
             config.k,
-            restarts=min(3, config.restarts),
-            rng=np.random.default_rng(0),
-            max_iter=config.max_iter,
+            Recipe(restarts=min(3, config.restarts), max_iter=config.max_iter),
+            np.random.default_rng(0),
         ),
         rounds=1,
         iterations=1,

@@ -29,6 +29,7 @@ import numpy as np
 from repro.core.merge import merge_kmeans
 from repro.core.partial import partial_kmeans
 from repro.core.quality import sse
+from repro.core.recipe import Recipe
 from repro.data.generator import generate_cell_points
 from repro.stream.coreset import CoresetTree
 from repro.stream.items import CentroidMessage
@@ -61,8 +62,8 @@ def _build_stream(n_partitions):
             partial_kmeans(
                 chunk,
                 _K,
-                restarts=_RESTARTS,
-                rng=rng,
+                Recipe(restarts=_RESTARTS),
+                rng,
                 source=f"bench/P{partition}",
             ).summary
         )

@@ -11,6 +11,7 @@ Run:  python examples/streaming_engine.py
 
 import numpy as np
 
+from repro.core import Recipe
 from repro.data import generate_cell_points
 from repro.stream import (
     Executor,
@@ -38,7 +39,11 @@ def main() -> None:
     print(f"memory budget allows ~{per_chunk} points per partition\n")
 
     graph = build_partial_merge_graph(
-        cells, k=24, restarts=3, resources=resources, seed=5, max_iter=100
+        cells,
+        k=24,
+        recipe=Recipe(restarts=3, max_iter=100, merge_max_iter=100),
+        resources=resources,
+        seed=5,
     )
     plan = Planner(resources).plan(graph)
     print(plan.describe())

@@ -6,6 +6,8 @@ Public surface:
 * :func:`~repro.core.kmeans.lloyd` — the shared weighted Lloyd kernel.
 * :func:`~repro.core.partial.partial_kmeans` / \
   :func:`~repro.core.merge.merge_kmeans` — the two stream-operator kernels.
+* :class:`~repro.core.recipe.Recipe` — the partial/merge recipe (restarts,
+  seeding, iteration caps, kernel) every entry point builds once.
 * :mod:`~repro.core.seeding`, :mod:`~repro.core.convergence`,
   :mod:`~repro.core.quality` — the supporting policies and metrics.
 * :func:`~repro.core.ecvq.ecvq` — the paper's future-work extension for
@@ -36,6 +38,7 @@ from repro.core.pipeline import (
     split_into_chunks,
 )
 from repro.core.quality import mse, sse
+from repro.core.recipe import Recipe
 from repro.core.restarts import RestartReport, best_of_restarts
 
 __all__ = [
@@ -63,6 +66,7 @@ __all__ = [
     "incremental_merge_kmeans",
     "PartialResult",
     "partial_kmeans",
+    "Recipe",
     "PartialMergeKMeans",
     "PartialMergeReport",
     "split_into_chunks",

@@ -26,10 +26,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core.kmeans import DEFAULT_MAX_ITER
 from repro.core.merge import merge_kmeans
 from repro.core.model import ClusterModel, WeightedCentroidSet, as_points
 from repro.core.partial import partial_kmeans
+from repro.core.recipe import DEFAULT_RECIPE, SERVE_RECIPE, Recipe
 
 __all__ = ["fold_summary", "update_model", "IncrementalClusterer"]
 
@@ -38,8 +38,7 @@ def fold_summary(
     model: ClusterModel | None,
     summary: WeightedCentroidSet,
     k: int | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
-    kernel: str | None = None,
+    recipe: Recipe = DEFAULT_RECIPE,
 ) -> ClusterModel:
     """Merge an already-computed partition summary into a cell model.
 
@@ -57,9 +56,8 @@ def fold_summary(
         summary: the new chunk's weighted centroid summary.
         k: centroids in the folded model; defaults to ``model.k`` and is
             **required** when ``model`` is ``None`` or empty.
-        max_iter: Lloyd cap for the merge.
-        kernel: assignment backend for the merge (exact kernels are
-            bit-identical; performance knob only).
+        recipe: the merge runs under its ``merge_max_iter`` cap and
+            ``kernel``.
 
     Returns:
         A new :class:`ClusterModel` whose weights sum to
@@ -78,7 +76,9 @@ def fold_summary(
         k = model.k
     pool = [model.to_weighted_set()] if base_populated else []
     pool.append(summary)
-    merged = merge_kmeans(pool, k, max_iter=max_iter, kernel=kernel)
+    merged = merge_kmeans(
+        pool, k, max_iter=recipe.merge_max_iter, kernel=recipe.kernel
+    )
     base = model if model is not None else ClusterModel.empty(summary.dim)
     return ClusterModel(
         centroids=merged.model.centroids,
@@ -97,9 +97,9 @@ def fold_summary(
 def update_model(
     model: ClusterModel,
     new_points: np.ndarray,
-    restarts: int = 3,
+    restarts: int = SERVE_RECIPE.restarts,
     rng: np.random.Generator | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
+    max_iter: int = SERVE_RECIPE.max_iter,
     k: int | None = None,
     kernel: str | None = None,
 ) -> ClusterModel:
@@ -124,8 +124,12 @@ def update_model(
 
     Raises:
         ValueError: ``model`` is an empty watermark and ``k`` was not
-            given.
+            given, or the recipe is bad (``restarts`` or ``max_iter``
+            below 1, unknown ``kernel``).
     """
+    recipe = Recipe(
+        restarts=restarts, max_iter=max_iter, merge_max_iter=max_iter, kernel=kernel
+    )
     pts = as_points(new_points)
     generator = rng if rng is not None else np.random.default_rng()
     if k is None:
@@ -135,25 +139,11 @@ def update_model(
                 "to bootstrap it from the new points"
             )
         k = model.k
-    fresh = partial_kmeans(
-        pts,
-        k,
-        restarts,
-        generator,
-        source="update",
-        max_iter=max_iter,
-        kernel=kernel,
-    )
-    folded = fold_summary(
-        model,
-        fresh.summary,
-        k=k,
-        max_iter=max_iter,
-        kernel=kernel,
-    )
+    fresh = partial_kmeans(pts, k, recipe, generator, source="update")
+    folded = fold_summary(model, fresh.summary, k=k, recipe=recipe)
     return replace(
         folded,
-        restarts=restarts,
+        restarts=recipe.restarts,
         partial_seconds=folded.partial_seconds + fresh.seconds,
         total_seconds=folded.total_seconds + fresh.seconds,
     )
@@ -175,6 +165,9 @@ class IncrementalClusterer:
         max_iter: Lloyd cap for all stages.
         seed: RNG seed.
 
+    ``restarts`` and ``max_iter`` become the :attr:`recipe`
+    (:class:`~repro.core.recipe.Recipe`), which refuses a bad value here.
+
     Example:
         >>> import numpy as np
         >>> from repro.core.incremental import IncrementalClusterer
@@ -188,9 +181,9 @@ class IncrementalClusterer:
     def __init__(
         self,
         k: int,
-        restarts: int = 3,
+        restarts: int = SERVE_RECIPE.restarts,
         refresh_every: int = 4,
-        max_iter: int = DEFAULT_MAX_ITER,
+        max_iter: int = SERVE_RECIPE.max_iter,
         seed: int | None = None,
     ) -> None:
         if k < 1:
@@ -198,9 +191,10 @@ class IncrementalClusterer:
         if refresh_every < 1:
             raise ValueError(f"refresh_every must be >= 1, got {refresh_every}")
         self.k = k
-        self.restarts = restarts
+        self.recipe = Recipe(
+            restarts=restarts, max_iter=max_iter, merge_max_iter=max_iter
+        )
         self.refresh_every = refresh_every
-        self.max_iter = max_iter
         self._rng = np.random.default_rng(seed)
         self._retained: list[WeightedCentroidSet] = []
         self._chunks_seen = 0
@@ -237,12 +231,7 @@ class IncrementalClusterer:
         """Fold one chunk of new points into the running state."""
         pts = as_points(chunk)
         summary = partial_kmeans(
-            pts,
-            self.k,
-            self.restarts,
-            self._rng,
-            source=f"chunk{self._chunks_seen}",
-            max_iter=self.max_iter,
+            pts, self.k, self.recipe, self._rng, source=f"chunk{self._chunks_seen}"
         ).summary
         self._retained.append(summary)
         self._chunks_seen += 1
@@ -253,9 +242,7 @@ class IncrementalClusterer:
     def _compact(self) -> None:
         """Collectively merge retained summaries down to one."""
         merged = merge_kmeans(
-            self._retained,
-            self.k,
-            max_iter=self.max_iter,
+            self._retained, self.k, max_iter=self.recipe.merge_max_iter
         )
         self._retained = [merged.model]
 
@@ -276,6 +263,6 @@ class IncrementalClusterer:
             mse=float("nan"),
             method="incremental-clusterer",
             partitions=self._chunks_seen,
-            restarts=self.restarts,
+            restarts=self.recipe.restarts,
             extra={"points_seen": self._points_seen},
         )

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.kernels import KernelCounters, LloydKernel
-from repro.core.kmeans import DEFAULT_MAX_ITER
+from repro.core.kernels import KernelCounters
 from repro.core.model import WeightedCentroidSet, as_points
+from repro.core.recipe import Recipe
 from repro.core.restarts import best_of_restarts
 
 __all__ = ["PartialResult", "partial_kmeans"]
@@ -46,25 +46,20 @@ class PartialResult:
 def partial_kmeans(
     partition: np.ndarray,
     k: int,
-    restarts: int,
+    recipe: Recipe,
     rng: np.random.Generator,
     source: str = "",
-    seeding: str = "random",
-    max_iter: int = DEFAULT_MAX_ITER,
-    kernel: "str | LloydKernel | None" = None,
 ) -> PartialResult:
     """Cluster one partition and summarise it as weighted centroids.
 
     Args:
         partition: ``(m, d)`` points of one memory-sized chunk.
         k: centroids per partition (the paper uses the cell-level ``k``).
-        restarts: random-seed restarts; the min-MSE run is kept.
+        recipe: the run's :class:`~repro.core.recipe.Recipe`: its
+            ``restarts`` runs, seeded by ``seeding`` and capped at
+            ``max_iter`` on ``kernel``; the min-MSE run is kept.
         rng: random generator for seed selection.
         source: label recorded on the output set (e.g. ``"P3"``).
-        seeding: seed strategy for the restarts (paper: ``"random"``).
-        max_iter: per-run iteration cap.
-        kernel: assignment backend name (see ``docs/kernels.md``)
-            forwarded to every restart; exact backends are bit-identical.
 
     Returns:
         A :class:`PartialResult` whose ``summary`` weights sum to ``m``
@@ -75,11 +70,11 @@ def partial_kmeans(
     report = best_of_restarts(
         pts,
         k,
-        restarts,
+        recipe.restarts,
         rng,
-        seeding=seeding,
-        max_iter=max_iter,
-        kernel=kernel,
+        seeding=recipe.seeding,
+        max_iter=recipe.max_iter,
+        kernel=recipe.kernel,
     )
     elapsed = time.perf_counter() - start
     summary = report.best.to_weighted_set(source=source)

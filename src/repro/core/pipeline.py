@@ -20,11 +20,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.kmeans import DEFAULT_MAX_ITER
 from repro.core.merge import MergeResult, merge_kmeans
 from repro.core.model import ClusterModel, as_points
 from repro.core.partial import PartialResult, partial_kmeans
 from repro.core.quality import mse as evaluate_mse
+from repro.core.recipe import DEFAULT_RECIPE, Recipe
 
 __all__ = ["PartialMergeKMeans", "PartialMergeReport", "split_into_chunks"]
 
@@ -80,12 +80,17 @@ class PartialMergeKMeans:
             wins.  0 (default) reproduces the paper; 2-3 repairs the
             merge collapses seen with many highly-overlapping chunks.
         seeding: restart seed strategy for partial steps.
-        max_iter: per-run Lloyd iteration cap.
+        max_iter: per-run Lloyd iteration cap, for partial and merge
+            steps alike.
         kernel: Lloyd assignment backend (see ``docs/kernels.md``) used
             by partial and merge steps alike; ``None`` consults
             ``REPRO_KMEANS_KERNEL``.  Exact backends are bit-identical —
             a performance knob only.
         seed: seed for the internal random generator.
+
+    ``restarts``, ``seeding``, ``max_iter`` and ``kernel`` become its
+    :attr:`recipe` (:class:`~repro.core.recipe.Recipe`), which refuses a
+    bad value here.
 
     Example:
         >>> import numpy as np
@@ -101,19 +106,17 @@ class PartialMergeKMeans:
     def __init__(
         self,
         k: int,
-        restarts: int = 10,
+        restarts: int = DEFAULT_RECIPE.restarts,
         n_chunks: int = 5,
         max_workers: int = 1,
         merge_restarts: int = 0,
-        seeding: str = "random",
-        max_iter: int = DEFAULT_MAX_ITER,
+        seeding: str = DEFAULT_RECIPE.seeding,
+        max_iter: int = DEFAULT_RECIPE.max_iter,
         kernel: str | None = None,
         seed: int | None = None,
     ) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {restarts}")
         if n_chunks < 1:
             raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
         if max_workers < 1:
@@ -121,13 +124,11 @@ class PartialMergeKMeans:
         if merge_restarts < 0:
             raise ValueError(f"merge_restarts must be >= 0, got {merge_restarts}")
         self.k = k
-        self.restarts = restarts
+        # Both stages run at the one cap.
+        self.recipe = Recipe(restarts, seeding, max_iter, max_iter, kernel)
         self.n_chunks = n_chunks
         self.max_workers = max_workers
         self.merge_restarts = merge_restarts
-        self.seeding = seeding
-        self.max_iter = max_iter
-        self.kernel = kernel
         self._rng = np.random.default_rng(seed)
 
     def fit(self, points: np.ndarray) -> PartialMergeReport:
@@ -178,7 +179,7 @@ class PartialMergeKMeans:
             mse=final_mse,
             method="partial/merge[collective]",
             partitions=len(chunk_list),
-            restarts=self.restarts,
+            restarts=self.recipe.restarts,
             partial_seconds=sum(p.seconds for p in partials),
             merge_seconds=merge.seconds,
             total_seconds=total,
@@ -203,16 +204,7 @@ class PartialMergeKMeans:
 
         def run(job: tuple[np.ndarray, np.random.Generator, str]) -> PartialResult:
             chunk, rng, label = job
-            return partial_kmeans(
-                chunk,
-                self.k,
-                self.restarts,
-                rng,
-                source=label,
-                seeding=self.seeding,
-                max_iter=self.max_iter,
-                kernel=self.kernel,
-            )
+            return partial_kmeans(chunk, self.k, self.recipe, rng, source=label)
 
         if self.max_workers == 1 or len(jobs) == 1:
             return [run(job) for job in jobs]
@@ -224,8 +216,8 @@ class PartialMergeKMeans:
         return merge_kmeans(
             [p.summary for p in partials],
             self.k,
-            max_iter=self.max_iter,
+            max_iter=self.recipe.merge_max_iter,
             extra_random_restarts=self.merge_restarts,
             rng=self._rng,
-            kernel=self.kernel,
+            kernel=self.recipe.kernel,
         )

@@ -15,7 +15,8 @@ Warm-start contract
 
 All serving state is a *pure function of the journal's contiguous
 record prefix* under a fixed registry configuration ``(k, seed,
-restarts, max_iter, kernel)``:
+recipe)`` — the :class:`~repro.core.recipe.Recipe` the registry builds
+from its ``restarts``, ``max_iter`` and ``kernel``:
 
 * journaled ``cell`` records are adopted as each cell's base model
   (bit-identical — the journal codec never round-trips floats through
@@ -50,10 +51,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.incremental import fold_summary
-from repro.core.kernels import resolve_kernel
-from repro.core.kmeans import DEFAULT_MAX_ITER
 from repro.core.model import ClusterModel, as_points
 from repro.core.partial import partial_kmeans
+from repro.core.recipe import SERVE_RECIPE, Recipe
 from repro.core.quality import assign_to_nearest
 from repro.stream.checkpoint import (
     JOURNAL_FILENAME,
@@ -225,16 +225,20 @@ class ModelRegistry:
             keep their own ``k``.
         seed: base seed for ingest-time partial k-means restarts.
         restarts: seed restarts per ingested chunk.
-        max_iter: Lloyd cap for all folds and tree merges.
-        kernel: assignment backend for all folds and tree merges
-            (the kernels are bit-identical; performance knob only).
-            An unknown name raises ``ValueError`` here, not at the
-            first ingest; so does ``restarts`` or ``max_iter`` below 1.
+        max_iter: Lloyd cap for every ingest's partial k-means and for
+            all folds and tree merges.
+        kernel: assignment backend for all of those (the kernels are
+            bit-identical; performance knob only).
         ttl_seconds: serve-side staleness horizon — responses from a
             model older than this carry ``stale=True`` (and are counted)
             so callers can trigger refreshes; ``None`` disables.
         fsync: fsync the journal after every record (default).  Turning
             it off trades durability for ingest latency — tests only.
+
+    ``restarts``, ``max_iter`` and ``kernel`` become the registry's
+    :attr:`recipe` (:class:`~repro.core.recipe.Recipe`): an unknown kernel
+    name, or ``restarts`` or ``max_iter`` below 1, raises ``ValueError``
+    here, not at the first ingest.
 
     Thread safety: distinct cells proceed concurrently.  Within a cell,
     writers queue on ``ingest_lock`` for the whole ingest while readers
@@ -248,28 +252,23 @@ class ModelRegistry:
         run_dir: str | Path,
         k: int = 8,
         seed: int = 0,
-        restarts: int = 3,
-        max_iter: int = DEFAULT_MAX_ITER,
+        restarts: int = SERVE_RECIPE.restarts,
+        max_iter: int = SERVE_RECIPE.max_iter,
         kernel: str | None = None,
         ttl_seconds: float | None = None,
         fsync: bool = True,
     ) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {restarts}")
-        if max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+        self.recipe = Recipe(
+            restarts=restarts, max_iter=max_iter, merge_max_iter=max_iter, kernel=kernel
+        )
         if ttl_seconds is not None and ttl_seconds <= 0:
             raise ValueError(f"ttl_seconds must be > 0, got {ttl_seconds}")
-        resolve_kernel(kernel)
         self.run_dir = Path(run_dir)
         self.journal_path = self.run_dir / JOURNAL_FILENAME
         self.k = k
         self.seed = seed
-        self.restarts = restarts
-        self.max_iter = max_iter
-        self.kernel = kernel
         self.ttl_seconds = ttl_seconds
         self._fsync = fsync
         self._lock = threading.Lock()
@@ -333,8 +332,7 @@ class ModelRegistry:
                     model,
                     message.summary,
                     k=self._fold_k(model),
-                    max_iter=self.max_iter,
-                    kernel=self.kernel,
+                    recipe=self.recipe,
                 )
                 self.partitions_replayed += 1
         if base is not None:
@@ -356,8 +354,7 @@ class ModelRegistry:
 
         return CoresetTree(
             k=self.k,
-            max_iter=self.max_iter,
-            kernel=self.kernel,
+            recipe=self.recipe,
             node_sink=node_sink,
             preloaded=preloaded,
         )
@@ -456,11 +453,9 @@ class ModelRegistry:
             fresh = partial_kmeans(
                 pts,
                 k,
-                self.restarts,
+                self.recipe,
                 _chunk_rng(self.seed, cell_id, index),
                 source=f"serve/P{index}",
-                max_iter=self.max_iter,
-                kernel=self.kernel,
             )
             fold_began = time.perf_counter()
             message = CentroidMessage(
@@ -471,13 +466,7 @@ class ModelRegistry:
                 partial_seconds=fresh.seconds,
             )
             self._writer().append_partition(message)
-            folded = fold_summary(
-                model,
-                fresh.summary,
-                k=k,
-                max_iter=self.max_iter,
-                kernel=self.kernel,
-            )
+            folded = fold_summary(model, fresh.summary, k=k, recipe=self.recipe)
             with entry.lock:
                 # The tree offer can fail (it journals merged nodes);
                 # the plain stores after it cannot, so a reader never

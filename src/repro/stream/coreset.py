@@ -54,9 +54,9 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from repro.core.kernels import merge_counter_dicts
-from repro.core.kmeans import DEFAULT_MAX_ITER
 from repro.core.merge import merge_kmeans
 from repro.core.model import WeightedCentroidSet
+from repro.core.recipe import DEFAULT_RECIPE, Recipe
 from repro.stream.errors import StreamError
 from repro.stream.items import CentroidMessage
 from repro.stream.kmeans_ops import MergeKMeansSink
@@ -163,9 +163,8 @@ class CoresetTree:
 
     Args:
         k: centroids per node summary and per query answer.
-        max_iter: Lloyd iteration cap for node/query merges.
-        kernel: assignment backend for all merges (exact kernels are
-            bit-identical, so this is a pure performance knob).
+        recipe: every node and query merge runs under its
+            ``merge_max_iter`` cap and ``kernel``.
         node_sink: optional callback ``(start, count, summary)`` invoked
             for every *computed* internal merge — the journaling hook.
         preloaded: optional mapping ``(start, count) -> summary`` of
@@ -176,16 +175,14 @@ class CoresetTree:
     def __init__(
         self,
         k: int,
-        max_iter: int = DEFAULT_MAX_ITER,
-        kernel: str | None = None,
+        recipe: Recipe = DEFAULT_RECIPE,
         node_sink: Callable[[int, int, WeightedCentroidSet], None] | None = None,
         preloaded: Mapping[tuple[int, int], WeightedCentroidSet] | None = None,
     ) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
-        self.max_iter = max_iter
-        self.kernel = kernel
+        self.recipe = recipe
         self._node_sink = node_sink
         self._preloaded = dict(preloaded or {})
         self._roots: list[CoresetNode] = []
@@ -302,8 +299,8 @@ class CoresetTree:
             result = merge_kmeans(
                 [left.summary, right.summary],
                 self.k,
-                max_iter=self.max_iter,
-                kernel=self.kernel,
+                max_iter=self.recipe.merge_max_iter,
+                kernel=self.recipe.kernel,
             )
             summary = result.model
             self.node_merges += 1
@@ -396,8 +393,8 @@ class CoresetTree:
         result = merge_kmeans(
             [node.summary for node in nodes],
             self.k,
-            max_iter=self.max_iter,
-            kernel=self.kernel,
+            max_iter=self.recipe.merge_max_iter,
+            kernel=self.recipe.kernel,
         )
         if result.counters is not None and result.counters.assign_calls:
             merge_counter_dicts(self.kernel_counters, result.counters.as_dict())
@@ -473,8 +470,7 @@ class CoresetTreeSink(MergeKMeansSink):
     def __init__(
         self,
         k: int,
-        max_iter: int = DEFAULT_MAX_ITER,
-        kernel: str | None = None,
+        recipe: Recipe = DEFAULT_RECIPE,
         evaluate_on: Mapping[str, np.ndarray] | None = None,
         journal: "JournalWriter | None" = None,
         query_every: int | None = None,
@@ -483,8 +479,7 @@ class CoresetTreeSink(MergeKMeansSink):
     ) -> None:
         super().__init__(
             k=k,
-            max_iter=max_iter,
-            kernel=kernel,
+            recipe=recipe,
             evaluate_on=evaluate_on,
             journal=journal,
             name=name,
@@ -520,8 +515,7 @@ class CoresetTreeSink(MergeKMeansSink):
 
             tree = CoresetTree(
                 k=self.k,
-                max_iter=self.max_iter,
-                kernel=self.kernel,
+                recipe=self.recipe,
                 node_sink=node_sink,
                 preloaded=self._preloaded_nodes.get(cell_id),
             )

@@ -26,18 +26,13 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from repro.core.kernels import (
-    KernelCounters,
-    merge_counter_dicts,
-    resolve_kernel,
-)
-from repro.core.kmeans import DEFAULT_MAX_ITER
+from repro.core.kernels import KernelCounters, merge_counter_dicts
 from repro.core.merge import merge_kmeans
 from repro.core.model import ClusterModel, as_points
 from repro.core.partial import partial_kmeans
 from repro.core.pipeline import split_into_chunks
 from repro.core.quality import mse as evaluate_mse
-from repro.core.seeding import resolve_strategy
+from repro.core.recipe import DEFAULT_RECIPE, Recipe
 from repro.stream.executor import ExecutionResult, Executor
 from repro.stream.faults import FaultPlan
 from repro.stream.graph import DataflowGraph
@@ -108,9 +103,8 @@ def chunk_rng(
 def merge_cell(
     messages: Iterable[CentroidMessage],
     k: int,
+    recipe: Recipe = DEFAULT_RECIPE,
     expected: int = 0,
-    max_iter: int = DEFAULT_MAX_ITER,
-    kernel: str | None = None,
     evaluate_on: np.ndarray | None = None,
     method: str = STREAM_METHOD,
 ) -> tuple[ClusterModel, KernelCounters | None]:
@@ -124,9 +118,9 @@ def merge_cell(
     Args:
         messages: the cell's partition summaries, in any order.
         k: centroids in the final model.
+        recipe: the merge k-means runs under its ``merge_max_iter`` cap
+            and ``kernel``.
         expected: partitions the cell was split into (0 = unknown).
-        max_iter: Lloyd iteration cap for the merge k-means.
-        kernel: Lloyd assignment backend for the merge k-means.
         evaluate_on: the cell's raw points; when given the model's MSE is
             measured on them instead of on the pooled centroids.
         method: ``ClusterModel.method`` label.
@@ -140,8 +134,8 @@ def merge_cell(
     merged = merge_kmeans(
         [m.summary for m in ordered],
         k,
-        max_iter=max_iter,
-        kernel=kernel,
+        max_iter=recipe.merge_max_iter,
+        kernel=recipe.kernel,
     )
     total = time.perf_counter() - start
     final_mse = (
@@ -260,14 +254,20 @@ class PartialKMeansOperator(Transform):
     journal resume (:mod:`repro.stream.checkpoint`) skip completed
     partitions and still produce a bit-identical final model.  Clones
     share the base seed sequence for the same reason.
+
+    ``restarts``, ``seeding``, ``max_iter`` and ``kernel`` become the
+    operator's :attr:`recipe`; :meth:`from_recipe` builds the operator
+    from a whole :class:`~repro.core.recipe.Recipe` instead.  Either way
+    a bad recipe is refused here, in the process that plans the run: a
+    worker that failed on it would only drop its partitions.
     """
 
     def __init__(
         self,
         k: int,
-        restarts: int = 10,
-        seeding: str = "random",
-        max_iter: int = DEFAULT_MAX_ITER,
+        restarts: int = DEFAULT_RECIPE.restarts,
+        seeding: str = DEFAULT_RECIPE.seeding,
+        max_iter: int = DEFAULT_RECIPE.max_iter,
         kernel: str | None = None,
         seed_sequence: np.random.SeedSequence | None = None,
         name: str = "partial",
@@ -275,32 +275,30 @@ class PartialKMeansOperator(Transform):
         super().__init__(name)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        # Refuse a bad recipe here, in the process that plans the run: a
-        # worker that failed on it would only drop its partitions.
-        if restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {restarts}")
-        if max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-        resolve_strategy(seeding)
-        resolve_kernel(kernel)
         self.k = k
-        self.restarts = restarts
-        self.seeding = seeding
-        self.max_iter = max_iter
-        self.kernel = kernel
+        self.recipe = Recipe(
+            restarts=restarts, seeding=seeding, max_iter=max_iter, kernel=kernel
+        )
         self.seed_sequence = (
             seed_sequence if seed_sequence is not None else np.random.SeedSequence()
         )
 
+    @classmethod
+    def from_recipe(
+        cls,
+        k: int,
+        recipe: Recipe,
+        seed_sequence: np.random.SeedSequence | None = None,
+        name: str = "partial",
+    ) -> "PartialKMeansOperator":
+        """The operator running ``recipe``'s partial stage."""
+        operator = cls(k, seed_sequence=seed_sequence, name=name)
+        operator.recipe = recipe
+        return operator
+
     def clone(self) -> "PartialKMeansOperator":
-        return PartialKMeansOperator(
-            k=self.k,
-            restarts=self.restarts,
-            seeding=self.seeding,
-            max_iter=self.max_iter,
-            kernel=self.kernel,
-            seed_sequence=self.seed_sequence,
-            name=self.name,
+        return PartialKMeansOperator.from_recipe(
+            self.k, self.recipe, self.seed_sequence, self.name
         )
 
     def process(
@@ -315,12 +313,9 @@ class PartialKMeansOperator(Transform):
         result = partial_kmeans(
             item.points,
             self.k,
-            self.restarts,
+            self.recipe,
             chunk_rng(self.seed_sequence, item.cell_id, item.partition),
             source=f"{item.cell_id}/P{item.partition}",
-            seeding=self.seeding,
-            max_iter=self.max_iter,
-            kernel=self.kernel,
         )
         yield CentroidMessage(
             cell_id=item.cell_id,
@@ -335,14 +330,11 @@ class PartialKMeansOperator(Transform):
         )
 
     def to_spec(self) -> "PartialKMeansSpec":
-        """Picklable recipe for the process backend (rebuilds this clone)."""
+        """Picklable spec for the process backend (rebuilds this clone)."""
         base = self.seed_sequence
         return PartialKMeansSpec(
             k=self.k,
-            restarts=self.restarts,
-            seeding=self.seeding,
-            max_iter=self.max_iter,
-            kernel=self.kernel,
+            recipe=self.recipe,
             entropy=base.entropy,
             spawn_key=tuple(base.spawn_key),
             name=self.name,
@@ -351,35 +343,29 @@ class PartialKMeansOperator(Transform):
 
 @dataclass(frozen=True)
 class PartialKMeansSpec:
-    """Picklable recipe rebuilding a :class:`PartialKMeansOperator`.
+    """Picklable spec rebuilding a :class:`PartialKMeansOperator`.
 
     The process backend ships this spec to the worker instead of the
-    operator itself.  ``entropy``/``spawn_key`` reconstruct the shared
-    seed sequence exactly, so a worker-built clone derives the same
-    chunk-identity RNG streams as the in-process original — which is why
-    thread- and process-backend runs of the same plan are bit-identical.
+    operator itself; ``recipe`` is the operator's frozen
+    :class:`~repro.core.recipe.Recipe`.  ``entropy``/``spawn_key``
+    reconstruct the shared seed sequence exactly, so a worker-built
+    clone derives the same chunk-identity RNG streams as the in-process
+    original — which is why thread- and process-backend runs of the same
+    plan are bit-identical.
     """
 
     k: int
-    restarts: int
-    seeding: str
-    max_iter: int
+    recipe: Recipe
     entropy: int
     spawn_key: tuple[int, ...]
     name: str
-    kernel: str | None = None
 
     def build(self) -> PartialKMeansOperator:
-        return PartialKMeansOperator(
-            k=self.k,
-            restarts=self.restarts,
-            seeding=self.seeding,
-            max_iter=self.max_iter,
-            kernel=self.kernel,
-            seed_sequence=np.random.SeedSequence(
-                entropy=self.entropy, spawn_key=self.spawn_key
-            ),
-            name=self.name,
+        return PartialKMeansOperator.from_recipe(
+            self.k,
+            self.recipe,
+            np.random.SeedSequence(entropy=self.entropy, spawn_key=self.spawn_key),
+            self.name,
         )
 
 
@@ -401,6 +387,8 @@ class MergeKMeansSink(Sink):
 
     Args:
         k: centroids in each final cell model.
+        recipe: every merge runs under its ``merge_max_iter`` cap and
+            ``kernel``.
         evaluate_on: optional mapping of cell id to raw points; when given,
             each final model's MSE is recomputed against the raw data so
             results are directly comparable with the serial baseline.
@@ -414,16 +402,14 @@ class MergeKMeansSink(Sink):
     def __init__(
         self,
         k: int,
-        max_iter: int = DEFAULT_MAX_ITER,
-        kernel: str | None = None,
+        recipe: Recipe = DEFAULT_RECIPE,
         evaluate_on: Mapping[str, np.ndarray] | None = None,
         journal: "JournalWriter | None" = None,
         name: str = "merge",
     ) -> None:
         super().__init__(name)
         self.k = k
-        self.max_iter = max_iter
-        self.kernel = kernel
+        self.recipe = recipe
         self._evaluate_on = dict(evaluate_on or {})
         self._journal = journal
         self._pending: dict[str, list[CentroidMessage]] = {}
@@ -506,9 +492,8 @@ class MergeKMeansSink(Sink):
         model, merge_counters = merge_cell(
             messages,
             self.k,
+            self.recipe,
             expected=self._expected.get(cell_id, 0),
-            max_iter=self.max_iter,
-            kernel=self.kernel,
             evaluate_on=self._evaluate_on.get(cell_id),
         )
         for message in messages:
@@ -534,13 +519,11 @@ class MergeKMeansSink(Sink):
 def build_partial_merge_graph(
     cells: Mapping[str, np.ndarray],
     k: int,
-    restarts: int = 10,
+    recipe: Recipe = DEFAULT_RECIPE,
     n_chunks: int | None = None,
     resources: ResourceManager | None = None,
     seed: int | None = None,
     evaluate_against_raw: bool = True,
-    max_iter: int = DEFAULT_MAX_ITER,
-    kernel: str | None = None,
 ) -> DataflowGraph:
     """Assemble the scan → partial → merge dataflow for ``cells``."""
     graph = DataflowGraph()
@@ -548,18 +531,9 @@ def build_partial_merge_graph(
         cells, n_chunks=n_chunks, resources=resources, seed=seed
     )
     seed_sequence = np.random.SeedSequence(seed) if seed is not None else None
-    partial = PartialKMeansOperator(
-        k=k,
-        restarts=restarts,
-        max_iter=max_iter,
-        kernel=kernel,
-        seed_sequence=seed_sequence,
-    )
+    partial = PartialKMeansOperator.from_recipe(k, recipe, seed_sequence)
     merge = MergeKMeansSink(
-        k=k,
-        max_iter=max_iter,
-        kernel=kernel,
-        evaluate_on=cells if evaluate_against_raw else None,
+        k=k, recipe=recipe, evaluate_on=cells if evaluate_against_raw else None
     )
     graph.add(source, cost_hint=1.0)
     # The paper: partial k-means "is by far the most expensive computation".
@@ -573,12 +547,12 @@ def build_partial_merge_graph(
 def run_partial_merge_stream(
     cells: Mapping[str, np.ndarray],
     k: int,
-    restarts: int = 10,
+    restarts: int = DEFAULT_RECIPE.restarts,
     n_chunks: int | None = None,
     resources: ResourceManager | None = None,
     partial_clones: int | None = None,
     seed: int | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
+    max_iter: int = DEFAULT_RECIPE.max_iter,
     fault_plan: FaultPlan | None = None,
     supervision: Mapping[str, SupervisionPolicy] | None = None,
     retry_policy: RetryPolicy | None = None,
@@ -626,10 +600,17 @@ def run_partial_merge_stream(
             results — counters in the execution metrics show what it
             saved.
 
+    ``restarts``, ``max_iter`` and ``kernel`` become one
+    :class:`~repro.core.recipe.Recipe` (random seeding, both stages at
+    ``max_iter``), which refuses a bad value before anything runs.
+
     Returns:
         ``(models, execution_result)`` where ``models`` maps cell id to
         its final :class:`ClusterModel`.
     """
+    recipe = Recipe(
+        restarts=restarts, max_iter=max_iter, merge_max_iter=max_iter, kernel=kernel
+    )
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if partial_clones is None and workers is not None:
@@ -638,34 +619,25 @@ def run_partial_merge_stream(
     if resolve_backend(backend) == SHARDS:
         # Lazy import: shard pulls in multiprocessing.connection and is
         # only needed on this path.
-        from repro.stream.shard import ShardConfig, run_sharded
+        from repro.stream.shard import ShardConfig, ShardCoordinator
 
         shard_config = ShardConfig(n_workers=partial_clones or 2)
         if retry_policy is not None:
             shard_config = replace(shard_config, reassign_policy=retry_policy)
-        models, metrics = run_sharded(
+        coordinator = ShardCoordinator(
             cells,
             k,
-            restarts=restarts,
-            seeding="random",
+            recipe,
             n_chunks=n_chunks,
             resources=envelope,
             seed=seed,
-            max_iter=max_iter,
-            kernel=kernel,
             config=shard_config,
             fault_plan=fault_plan,
         )
-        return models, ExecutionResult(value=models, metrics=metrics)
+        models = coordinator.run()
+        return models, ExecutionResult(value=models, metrics=coordinator.metrics)
     graph = build_partial_merge_graph(
-        cells,
-        k,
-        restarts=restarts,
-        n_chunks=n_chunks,
-        resources=envelope,
-        seed=seed,
-        max_iter=max_iter,
-        kernel=kernel,
+        cells, k, recipe, n_chunks=n_chunks, resources=envelope, seed=seed
     )
     for name, policy in (supervision or {}).items():
         graph.set_supervision(name, policy)

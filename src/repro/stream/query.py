@@ -27,14 +27,13 @@ the EXPLAIN facility every query engine owes its users.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from repro.core.kernels import resolve_kernel
-from repro.core.kmeans import DEFAULT_MAX_ITER
+from repro.core.recipe import DEFAULT_RECIPE, Recipe
 from repro.stream.checkpoint import (
     CheckpointError,
     JournalState,
@@ -97,8 +96,12 @@ class _QueryState:
     source_args: dict[str, Any] = field(default_factory=dict)
     n_chunks: int | None = None
     by_memory: bool = False
-    cluster_args: dict[str, Any] | None = None
-    merge_args: dict[str, Any] | None = None
+    #: Centroids per partition; ``None`` until :meth:`Query.cluster`.
+    k: int | None = None
+    #: Whether :meth:`Query.merge` ran, and the k it set (``None`` = k).
+    merged: bool = False
+    merge_k: int | None = None
+    recipe: Recipe = DEFAULT_RECIPE
     resources: ResourceManager | None = None
     partial_clones: int | None = None
     seed: int | None = None
@@ -113,7 +116,6 @@ class _QueryState:
     backend: str | None = None
     shards: int | None = None
     shard_config: Any = None
-    kernel: str | None = None
     prefix_queries: bool = False
     prefix_query_every: int | None = None
     prefix_query_window: int | None = None
@@ -169,35 +171,49 @@ class Query:
     def cluster(
         self,
         k: int,
-        restarts: int = 10,
-        seeding: str = "random",
-        max_iter: int = DEFAULT_MAX_ITER,
+        restarts: int = DEFAULT_RECIPE.restarts,
+        seeding: str = DEFAULT_RECIPE.seeding,
+        max_iter: int = DEFAULT_RECIPE.max_iter,
     ) -> "Query":
-        """Add the partial k-means stage."""
-        if self._state.cluster_args is not None:
+        """Add the partial k-means stage.
+
+        Without :meth:`merge` the merge runs at this stage's ``max_iter``
+        too.  A bad ``restarts``, ``seeding`` or ``max_iter`` raises
+        ``ValueError`` here.
+        """
+        state = self._state
+        if state.k is not None:
             raise QueryError("cluster stage specified twice")
         if k < 1:
             raise QueryError(f"k must be >= 1, got {k}")
-        self._state.cluster_args = {
-            "k": k,
-            "restarts": restarts,
-            "seeding": seeding,
-            "max_iter": max_iter,
-        }
+        state.recipe = replace(
+            state.recipe,
+            restarts=restarts,
+            seeding=seeding,
+            max_iter=max_iter,
+            merge_max_iter=(
+                state.recipe.merge_max_iter if state.merged else max_iter
+            ),
+        )
+        state.k = k
         return self
 
     def merge(
         self,
         k: int | None = None,
-        max_iter: int = DEFAULT_MAX_ITER,
+        max_iter: int = DEFAULT_RECIPE.merge_max_iter,
     ) -> "Query":
-        """Add the merge stage (defaults to the cluster stage's k)."""
-        if self._state.merge_args is not None:
+        """Add the merge stage (defaults to the cluster stage's k).
+
+        ``max_iter`` caps every merge on every backend; a value below 1
+        raises ``ValueError`` here.
+        """
+        state = self._state
+        if state.merged:
             raise QueryError("merge stage specified twice")
-        self._state.merge_args = {
-            "k": k,
-            "max_iter": max_iter,
-        }
+        state.recipe = replace(state.recipe, merge_max_iter=max_iter)
+        state.merged = True
+        state.merge_k = k
         return self
 
     def with_resources(self, resources: ResourceManager) -> "Query":
@@ -250,8 +266,9 @@ class Query:
     def with_shards(self, shards: int, config: Any = None) -> "Query":
         """Run the query on the fault-tolerant shard-per-cell runtime.
 
-        Instead of compiling a plan, :meth:`execute` hands the cells to
-        :func:`repro.stream.shard.run_sharded`: ``shards`` worker
+        Instead of compiling a plan, :meth:`execute` hands the cells and
+        the query's recipe to a
+        :class:`~repro.stream.shard.ShardCoordinator`: ``shards`` worker
         processes each own a subset of the cells, journal their progress
         and survive worker loss (crash, silence, stall) with
         bit-identical recovery.  See :mod:`repro.stream.shard`.
@@ -291,13 +308,9 @@ class Query:
                 same bits.
         """
         try:
-            # Selection semantics live in resolve_kernel; validate
-            # through it so Query can never accept a kernel execute()
-            # would reject.
-            resolve_kernel(kernel)
+            self._state.recipe = replace(self._state.recipe, kernel=kernel)
         except ValueError as error:
             raise QueryError(str(error)) from None
-        self._state.kernel = kernel
         return self
 
     def with_prefix_queries(
@@ -410,13 +423,17 @@ class Query:
     def _validate(self) -> None:
         if self._state.source_kind is None:
             raise QueryError("query has no source stage")
-        if self._state.cluster_args is None:
+        if self._state.k is None:
             raise QueryError("query has no cluster stage")
         if self._state.n_chunks is None and not self._state.by_memory:
             raise QueryError(
                 "query has no partitioning stage "
                 "(call partition(n) or partition_by_memory())"
             )
+
+    def _merge_k(self) -> int:
+        state = self._state
+        return state.merge_k if state.merge_k is not None else state.k
 
     def _resources(self) -> ResourceManager:
         return (
@@ -434,11 +451,6 @@ class Query:
         self._validate()
         state = self._state
         resources = self._resources()
-        cluster = dict(state.cluster_args or {})
-        merge = dict(state.merge_args or {"k": None,
-                                          "max_iter": cluster["max_iter"]})
-        merge_k = merge["k"] if merge["k"] is not None else cluster["k"]
-
         graph = DataflowGraph()
         if state.source_kind == "cells":
             source = GridCellChunkSource(
@@ -464,19 +476,13 @@ class Query:
         seed_sequence = (
             np.random.SeedSequence(state.seed) if state.seed is not None else None
         )
-        partial = PartialKMeansOperator(
-            k=cluster["k"],
-            restarts=cluster["restarts"],
-            seeding=cluster["seeding"],
-            max_iter=cluster["max_iter"],
-            kernel=state.kernel,
-            seed_sequence=seed_sequence,
+        partial = PartialKMeansOperator.from_recipe(
+            state.k, state.recipe, seed_sequence
         )
         if state.prefix_queries:
             sink: MergeKMeansSink = CoresetTreeSink(
-                k=merge_k,
-                max_iter=merge["max_iter"],
-                kernel=state.kernel,
+                k=self._merge_k(),
+                recipe=state.recipe,
                 evaluate_on=evaluate_on,
                 journal=journal,
                 query_every=state.prefix_query_every,
@@ -484,9 +490,8 @@ class Query:
             )
         else:
             sink = MergeKMeansSink(
-                k=merge_k,
-                max_iter=merge["max_iter"],
-                kernel=state.kernel,
+                k=self._merge_k(),
+                recipe=state.recipe,
                 evaluate_on=evaluate_on,
                 journal=journal,
             )
@@ -505,24 +510,21 @@ class Query:
         """Print the logical stages and the compiled physical plan."""
         self._validate()
         state = self._state
-        cluster = state.cluster_args or {}
         partition_text = (
             f"partition_by_memory(budget="
             f"{self._resources().memory_budget_bytes} B)"
             if state.by_memory
             else f"partition(n_chunks={state.n_chunks})"
         )
-        merge = state.merge_args or {}
-        merge_k = merge.get("k") or cluster.get("k")
         printer("logical plan:")
         printer(f"  scan[{state.source_kind}]")
         printer(f"  -> {partition_text}")
         printer(
-            f"  -> partial_kmeans(k={cluster.get('k')}, "
-            f"restarts={cluster.get('restarts')}, "
-            f"kernel={state.kernel or 'default'})"
+            f"  -> partial_kmeans(k={state.k}, "
+            f"restarts={state.recipe.restarts}, "
+            f"kernel={state.recipe.kernel or 'default'})"
         )
-        printer(f"  -> merge_kmeans(k={merge_k})")
+        printer(f"  -> merge_kmeans(k={self._merge_k()})")
         graph = self._build_graph()
         overrides = (
             {"partial": state.partial_clones} if state.partial_clones else None
@@ -552,10 +554,8 @@ class Query:
 
     def _shard_execute(self, fault_plan: FaultPlan | None) -> QueryResult:
         """Route the query to the shard-per-cell runtime."""
-        from dataclasses import replace
-
         from repro.data.gridio import read_bucket_file
-        from repro.stream.shard import ShardConfig, run_sharded
+        from repro.stream.shard import ShardConfig, ShardCoordinator
 
         state = self._state
         if state.checkpoint_dir is not None:
@@ -582,8 +582,6 @@ class Query:
             for path in paths:
                 bucket = read_bucket_file(path)
                 cells[bucket.cell_id.key] = bucket.points
-        cluster = dict(state.cluster_args or {})
-        merge = dict(state.merge_args or {})
         config = (
             state.shard_config
             if state.shard_config is not None
@@ -595,21 +593,19 @@ class Query:
         if state.stall_timeout is not None:
             overrides["stall_timeout"] = state.stall_timeout
         config = replace(config, **overrides)
-        models, metrics = run_sharded(
+        coordinator = ShardCoordinator(
             cells,
-            cluster["k"],
-            restarts=cluster["restarts"],
-            seeding=cluster["seeding"],
+            state.k,
+            state.recipe,
             n_chunks=state.n_chunks,
             resources=self._resources(),
             seed=state.seed,
-            merge_k=merge.get("k"),
-            max_iter=cluster["max_iter"],
-            kernel=state.kernel,
+            merge_k=state.merge_k,
             config=config,
             fault_plan=fault_plan,
         )
-        execution = ExecutionResult(value=models, metrics=metrics)
+        models = coordinator.run()
+        execution = ExecutionResult(value=models, metrics=coordinator.metrics)
         return QueryResult(models=models, execution=execution)
 
     def _offline_tree_sink(self, journal_state: JournalState) -> CoresetTreeSink:
@@ -622,14 +618,9 @@ class Query:
         same bits the original run produced.
         """
         state = self._state
-        cluster = dict(state.cluster_args or {})
-        merge = dict(state.merge_args or {"k": None,
-                                          "max_iter": cluster["max_iter"]})
-        merge_k = merge["k"] if merge["k"] is not None else cluster["k"]
         sink = CoresetTreeSink(
-            k=merge_k,
-            max_iter=merge["max_iter"],
-            kernel=state.kernel,
+            k=self._merge_k(),
+            recipe=state.recipe,
             query_every=state.prefix_query_every,
             query_window=state.prefix_query_window,
         )
@@ -689,8 +680,7 @@ class Query:
         valid.
         """
         state = self._state
-        cluster = dict(state.cluster_args or {})
-        merge = dict(state.merge_args or {})
+        recipe = state.recipe
         directory = Path(state.source_args["directory"])
         paths = (
             [directory] if directory.is_file() else sorted(directory.glob("*.gbk"))
@@ -707,17 +697,19 @@ class Query:
             "memory_budget": (
                 resources.memory_budget_bytes if state.by_memory else None
             ),
-            "k": cluster.get("k"),
-            "restarts": cluster.get("restarts"),
-            "seeding": cluster.get("seeding"),
-            "max_iter": cluster.get("max_iter"),
+            # The recipe goes in field by field, under the keys journals
+            # have always used, so journals written before it resume.
+            "k": state.k,
+            "restarts": recipe.restarts,
+            "seeding": recipe.seeding,
+            "max_iter": recipe.max_iter,
             # Journals record the stopping rule under these two keys, with
             # "None" for the paper's rule, the only one this code runs.
             # Writing that constant keeps such journals resumable, and
             # validate_manifest refuses one that recorded any other rule.
             "criterion": "None",
-            "merge_k": merge.get("k") or cluster.get("k"),
-            "merge_max_iter": merge.get("max_iter", cluster.get("max_iter")),
+            "merge_k": self._merge_k(),
+            "merge_max_iter": recipe.merge_max_iter,
             "merge_criterion": "None",
             "seed": state.seed,
         }

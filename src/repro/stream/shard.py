@@ -75,9 +75,9 @@ from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro.core.kmeans import DEFAULT_MAX_ITER
 from repro.core.model import ClusterModel
 from repro.core.pipeline import split_into_chunks
+from repro.core.recipe import SHARD_RECIPE, Recipe
 from repro.stream.checkpoint import (
     JournalFormatError,
     JournalWriter,
@@ -199,9 +199,10 @@ class CellTask:
     """One cell assignment shipped to a worker.
 
     Everything a worker needs to produce the cell's final model without
-    talking to anyone: the points, the partial k-means recipe (which
-    carries the seed material and the k-means configuration the merge
-    reuses), its own epoch journal path and the prior epochs to replay.
+    talking to anyone: the points, the partial k-means spec (which
+    carries the seed material and the run's
+    :class:`~repro.core.recipe.Recipe`, merge cap included), its own
+    epoch journal path and the prior epochs to replay.
     """
 
     cell_id: str
@@ -222,13 +223,12 @@ def _merge_cell_messages(
     expected: int,
     points: np.ndarray,
 ) -> ClusterModel:
-    """:func:`merge_cell` with the shard run's configuration and label."""
+    """:func:`merge_cell` with the shard run's recipe and label."""
     model, _ = merge_cell(
         messages,
         merge_k,
+        partial.recipe,
         expected=expected,
-        max_iter=partial.max_iter,
-        kernel=partial.kernel,
         evaluate_on=points,
         method=SHARD_METHOD,
     )
@@ -537,6 +537,8 @@ class ShardCoordinator:
         cells: mapping from cell id to its ``(n, d)`` points.
         k: centroids per partition (and per final model unless
             ``merge_k`` differs).
+        recipe: the partial and merge recipe every worker runs.
+        n_chunks, resources, seed, merge_k: as for :func:`run_sharded`.
         config: runtime tuning; ``None`` uses defaults.
         fault_plan: optional chaos engine; ``kill``/``heartbeat-drop``
             specs targeting worker names are shipped to the workers and
@@ -547,26 +549,18 @@ class ShardCoordinator:
         self,
         cells: Mapping[str, np.ndarray],
         k: int,
-        restarts: int = 1,
-        seeding: str = "kmeans||",
+        recipe: Recipe = SHARD_RECIPE,
         n_chunks: int | None = None,
         resources: ResourceManager | None = None,
         seed: int | None = None,
         merge_k: int | None = None,
-        max_iter: int = DEFAULT_MAX_ITER,
-        kernel: str | None = None,
         config: ShardConfig | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> None:
         if not cells:
             raise ValueError("cells mapping must not be empty")
-        self._partial = PartialKMeansOperator(
-            k=k,
-            restarts=restarts,
-            seeding=seeding,
-            max_iter=max_iter,
-            kernel=kernel,
-            seed_sequence=np.random.SeedSequence(seed),
+        self._partial = PartialKMeansOperator.from_recipe(
+            k, recipe, np.random.SeedSequence(seed)
         ).to_spec()
         self._merge_k = merge_k if merge_k is not None else k
         self.config = config if config is not None else ShardConfig()
@@ -975,13 +969,13 @@ class ShardCoordinator:
 def run_sharded(
     cells: Mapping[str, np.ndarray],
     k: int,
-    restarts: int = 1,
-    seeding: str = "kmeans||",
+    restarts: int = SHARD_RECIPE.restarts,
+    seeding: str = SHARD_RECIPE.seeding,
     n_chunks: int | None = None,
     resources: ResourceManager | None = None,
     seed: int | None = None,
     merge_k: int | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
+    max_iter: int = SHARD_RECIPE.max_iter,
     kernel: str | None = None,
     config: ShardConfig | None = None,
     fault_plan: FaultPlan | None = None,
@@ -1014,22 +1008,24 @@ def run_sharded(
         fault_plan: optional chaos engine; ``kill`` / ``heartbeat-drop``
             specs targeting worker names fire inside the workers.
 
+    ``restarts``, ``seeding``, ``max_iter`` and ``kernel`` become one
+    :class:`~repro.core.recipe.Recipe` (both stages at ``max_iter``),
+    which refuses a bad value before any worker starts.
+
     Returns:
         ``(models, metrics)`` — final model per cell, plus
         :class:`ExecutionMetrics` with per-shard stats and recovery
         events.
     """
+    recipe = Recipe(restarts, seeding, max_iter, max_iter, kernel)
     coordinator = ShardCoordinator(
         cells,
         k,
-        restarts=restarts,
-        seeding=seeding,
+        recipe,
         n_chunks=n_chunks,
         resources=resources,
         seed=seed,
         merge_k=merge_k,
-        max_iter=max_iter,
-        kernel=kernel,
         config=config,
         fault_plan=fault_plan,
     )

@@ -14,6 +14,7 @@ from repro.core.incremental import (
 from repro.core.model import ClusterModel
 from repro.core.partial import partial_kmeans
 from repro.core.quality import mse as evaluate_mse
+from repro.core.recipe import Recipe
 
 
 class TestUpdateModel:
@@ -100,7 +101,7 @@ class TestFoldSummary:
     def test_deterministic(self, blobs_2d):
         model = SerialKMeans(k=4, restarts=2, seed=0).fit(blobs_2d[:300])
         summary = partial_kmeans(
-            blobs_2d[300:], 4, 2, np.random.default_rng(3), source="t"
+            blobs_2d[300:], 4, Recipe(restarts=2), np.random.default_rng(3), source="t"
         ).summary
         once = fold_summary(model, summary)
         twice = fold_summary(model, summary)
@@ -110,7 +111,7 @@ class TestFoldSummary:
 
     def test_none_model_requires_k(self, blobs_2d):
         summary = partial_kmeans(
-            blobs_2d[:200], 4, 2, np.random.default_rng(3), source="t"
+            blobs_2d[:200], 4, Recipe(restarts=2), np.random.default_rng(3), source="t"
         ).summary
         with pytest.raises(ValueError, match="without k"):
             fold_summary(None, summary)

@@ -8,6 +8,7 @@ import pytest
 from repro.core.merge import incremental_merge_kmeans, merge_kmeans
 from repro.core.model import WeightedCentroidSet
 from repro.core.partial import partial_kmeans
+from repro.core.recipe import Recipe
 
 
 def _partials_from(points: np.ndarray, n_chunks: int, k: int, seed: int):
@@ -16,7 +17,7 @@ def _partials_from(points: np.ndarray, n_chunks: int, k: int, seed: int):
     perm = rng.permutation(points.shape[0])
     chunks = np.array_split(points[perm], n_chunks)
     return [
-        partial_kmeans(chunk, k=k, restarts=2, rng=rng, source=f"P{i}").summary
+        partial_kmeans(chunk, k=k, recipe=Recipe(restarts=2), rng=rng, source=f"P{i}").summary
         for i, chunk in enumerate(chunks)
     ]
 
@@ -55,7 +56,7 @@ class TestMergeKMeans:
             merge_kmeans([], k=3)
 
     def test_single_partial_roundtrips_weight(self, blobs_2d, rng):
-        summary = partial_kmeans(blobs_2d, k=6, restarts=1, rng=rng).summary
+        summary = partial_kmeans(blobs_2d, k=6, recipe=Recipe(restarts=1), rng=rng).summary
         merged = merge_kmeans([summary], k=4)
         assert merged.model.total_weight == pytest.approx(blobs_2d.shape[0])
 
@@ -93,7 +94,7 @@ class TestIncrementalMerge:
             incremental_merge_kmeans([], k=3)
 
     def test_single_partial_passthrough(self, blobs_2d, rng):
-        summary = partial_kmeans(blobs_2d, k=4, restarts=1, rng=rng).summary
+        summary = partial_kmeans(blobs_2d, k=4, recipe=Recipe(restarts=1), rng=rng).summary
         merged = incremental_merge_kmeans([summary], k=4)
         np.testing.assert_array_equal(merged.model.centroids, summary.centroids)
 

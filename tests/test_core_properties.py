@@ -14,6 +14,7 @@ from repro.core.model import WeightedCentroidSet
 from repro.core.partial import partial_kmeans
 from repro.core.pipeline import PartialMergeKMeans, split_into_chunks
 from repro.core.quality import assign_to_nearest, mse, sse
+from repro.core.recipe import Recipe
 from repro.core.seeding import largest_weight_seeds, random_seeds
 
 finite_floats = st.floats(
@@ -153,7 +154,7 @@ class TestSplitMergeProperties:
         rng = np.random.default_rng(1)
         chunks = split_into_chunks(pts, n_chunks, rng)
         partials = [
-            partial_kmeans(c, k=2, restarts=1, rng=rng, max_iter=20)
+            partial_kmeans(c, k=2, recipe=Recipe(restarts=1, max_iter=20), rng=rng)
             for c in chunks
         ]
         total = sum(p.summary.total_weight for p in partials)
@@ -188,7 +189,7 @@ class TestSplitMergeProperties:
         n_chunks = min(3, pts.shape[0])
         chunks = split_into_chunks(pts, n_chunks, rng)
         partials = [
-            partial_kmeans(c, k=2, restarts=1, rng=rng, max_iter=20).summary
+            partial_kmeans(c, k=2, recipe=Recipe(restarts=1, max_iter=20), rng=rng).summary
             for c in chunks
         ]
         merged = merge_kmeans(partials, k=k, max_iter=20)

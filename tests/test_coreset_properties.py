@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.model import WeightedCentroidSet
+from repro.core.recipe import Recipe
 from repro.stream.coreset import CoresetTree, CoresetTreeSink
 from repro.stream.items import CentroidMessage, Watermark
 from repro.stream.kmeans_ops import MergeKMeansSink
@@ -75,8 +76,8 @@ class TestTreeVersusOneShotMerge:
     @settings(max_examples=25, deadline=None)
     def test_final_models_bit_identical(self, kernel, messages):
         """(a) swapping in the tree sink changes no bit of any model."""
-        plain = MergeKMeansSink(k=3, kernel=kernel)
-        tree = CoresetTreeSink(k=3, kernel=kernel, query_every=1)
+        plain = MergeKMeansSink(k=3, recipe=Recipe(kernel=kernel))
+        tree = CoresetTreeSink(k=3, recipe=Recipe(kernel=kernel), query_every=1)
         for sink in (plain, tree):
             for message in messages:
                 sink.consume(message)
@@ -185,7 +186,7 @@ class TestPrefixQueryDeterminism:
     def test_kernels_bit_identical_on_node_merges(self, messages):
         trees = {}
         for kernel in ("dense", "elkan"):
-            tree = CoresetTree(k=3, kernel=kernel)
+            tree = CoresetTree(k=3, recipe=Recipe(kernel=kernel))
             for message in messages:
                 tree.offer(message)
             trees[kernel] = tree.query_prefix().model

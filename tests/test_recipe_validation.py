@@ -94,3 +94,65 @@ def test_bad_recipe_fails_before_any_worker_starts(
     assert not started
     # The registry refuses before it touches its run directory.
     assert not (tmp_path / "run").exists()
+
+
+def _merge_cap_threads(tmp_path):
+    (
+        Query.scan_cells(_cells())
+        .partition(2)
+        .cluster(3)
+        .merge(max_iter=0)
+        .with_backend("threads")
+        .with_seed(0)
+        .execute()
+    )
+
+
+def _merge_cap_shards(tmp_path):
+    (
+        Query.scan_cells(_cells())
+        .partition(2)
+        .cluster(3)
+        .merge(max_iter=0)
+        .with_shards(2)
+        .with_seed(0)
+        .execute()
+    )
+
+
+def _merge_cap_coreset_tree(tmp_path):
+    from repro.core.recipe import Recipe
+    from repro.stream.coreset import CoresetTree
+
+    CoresetTree(k=3, recipe=Recipe(merge_max_iter=0))
+
+
+MERGE_CAP_ENTRY_POINTS = {
+    "query_threads": _merge_cap_threads,
+    "query_shards": _merge_cap_shards,
+    "coreset_tree": _merge_cap_coreset_tree,
+}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(entry, id=f"{entry}-merge_max_iter")
+        for entry in MERGE_CAP_ENTRY_POINTS
+    ],
+)
+def test_bad_merge_cap_fails_before_any_worker_starts(
+    tmp_path, monkeypatch, entry
+):
+    """Every merge path reads one cap, so every one refuses a bad one."""
+    started = []
+    monkeypatch.setattr(
+        ShardCoordinator, "_spawn_worker",
+        lambda self, *args, **kwargs: started.append("shard worker"),
+    )
+    monkeypatch.setattr(
+        Executor, "run", lambda self, plan: started.append("executor")
+    )
+    with pytest.raises(ValueError, match="merge_max_iter must be >= 1, got 0"):
+        MERGE_CAP_ENTRY_POINTS[entry](tmp_path)
+    assert not started

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import split_into_chunks
+from repro.core.recipe import Recipe
 from repro.stream.faults import FaultPlan, FaultSpec
 from repro.stream.items import DataChunk
 from repro.stream.kmeans_ops import (
@@ -597,7 +598,9 @@ class TestWiring:
         from repro.stream.kmeans_ops import build_partial_merge_graph
         from repro.stream.planner import Planner
 
-        graph = build_partial_merge_graph(cells, k=4, restarts=1, n_chunks=4)
+        graph = build_partial_merge_graph(
+            cells, k=4, recipe=Recipe(restarts=1), n_chunks=4
+        )
         with pytest.raises(ValueError, match="not plan-based"):
             Planner().plan(graph, backend="shards")
 
