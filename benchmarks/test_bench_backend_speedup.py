@@ -2,14 +2,14 @@
 
 The process backend exists because thread clones only parallelise as far
 as numpy releases the GIL; worker processes sidestep the GIL entirely at
-the cost of shared-memory transfers and per-worker spawn time.  This
+the cost of pipe transfers and per-worker spawn time.  This
 benchmark runs the same fixed-seed pipeline on both backends, checks the
 results are bit-identical, and records the wall-time comparison in
 ``BENCH_backend.json`` at the repository root.
 
 Note (same caveat as ``test_bench_speedup``): wall-clock speed-up needs
 spare CPU cores.  On a single-core host the run still validates the
-worker/shared-memory machinery and records honest flat timings; the
+worker/pipe machinery and records honest flat timings; the
 speed-up assertion only arms on hosts with >= 4 cores.
 """
 

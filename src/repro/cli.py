@@ -577,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["threads", "processes"],
         default="threads",
         help="run partial-k-means clones on threads (default) or in "
-        "worker processes fed over shared memory",
+        "worker processes fed over pipes",
     )
     p_query.add_argument(
         "--workers",

@@ -17,7 +17,7 @@ import numpy as np
 from repro.core.kernels import KernelCounters
 from repro.core.model import WeightedCentroidSet, as_points
 from repro.core.recipe import Recipe
-from repro.core.restarts import best_of_restarts
+from repro.core.restarts import RestartRunner, best_of_restarts
 
 __all__ = ["PartialResult", "partial_kmeans"]
 
@@ -49,6 +49,7 @@ def partial_kmeans(
     recipe: Recipe,
     rng: np.random.Generator,
     source: str = "",
+    runner: RestartRunner | None = None,
 ) -> PartialResult:
     """Cluster one partition and summarise it as weighted centroids.
 
@@ -60,6 +61,9 @@ def partial_kmeans(
             ``max_iter`` on ``kernel``; the min-MSE run is kept.
         rng: random generator for seed selection.
         source: label recorded on the output set (e.g. ``"P3"``).
+        runner: runs the restarts' Lloyd calls (see
+            :func:`~repro.core.restarts.best_of_restarts`); ``None`` runs
+            them one after another on this thread.  Same bits either way.
 
     Returns:
         A :class:`PartialResult` whose ``summary`` weights sum to ``m``
@@ -75,6 +79,7 @@ def partial_kmeans(
         seeding=recipe.seeding,
         max_iter=recipe.max_iter,
         kernel=recipe.kernel,
+        runner=runner,
     )
     elapsed = time.perf_counter() - start
     summary = report.best.to_weighted_set(source=source)

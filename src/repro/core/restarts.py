@@ -2,12 +2,21 @@
 
 The paper runs both the serial algorithm and every partial step with ``R``
 different random seed sets (R=10 in the experiments) and selects the
-representation with the minimum mean square error.
+representation with the minimum mean square error.  The restarts are
+independent once their seeds are drawn — the paper's Figure 2 "Method B:
+one restart per processor" — so :func:`best_of_restarts` runs in three
+steps: draw every seed set from ``rng`` (:func:`draw_seed_sets`), hand
+them to a **runner** that returns one Lloyd result per seed set
+(:func:`run_restarts` in-process by default; the stream engine's restart
+helpers spread them over processes), and pick the winner in run order
+(:func:`pick_best`).  ``lloyd`` consumes no randomness, so the seeds —
+and with them every result — are the same whichever runner ran them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -16,7 +25,18 @@ from repro.core.kmeans import DEFAULT_MAX_ITER, lloyd
 from repro.core.model import KMeansResult, as_points
 from repro.core.seeding import resolve_strategy
 
-__all__ = ["RestartReport", "best_of_restarts"]
+__all__ = [
+    "RestartReport",
+    "RestartRunner",
+    "best_of_restarts",
+    "draw_seed_sets",
+    "pick_best",
+    "run_restarts",
+]
+
+#: ``runner(points, seed_sets, weights, max_iter, kernel)`` returns one
+#: :class:`KMeansResult` per seed set, in seed-set order.
+RestartRunner = Callable[..., list[KMeansResult]]
 
 
 @dataclass(frozen=True)
@@ -43,6 +63,54 @@ class RestartReport:
         return sum(self.iteration_counts)
 
 
+def draw_seed_sets(
+    points: np.ndarray,
+    k: int,
+    restarts: int,
+    rng: np.random.Generator,
+    weights: np.ndarray | None = None,
+    seeding: str = "random",
+) -> list[np.ndarray]:
+    """Draw ``restarts`` seed sets from ``rng``, in run order."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    seeder = resolve_strategy(seeding)
+    if seeding in ("kmeans++", "kmeans||"):
+        return [seeder(points, k, rng, weights=weights) for _ in range(restarts)]
+    return [seeder(points, k, rng) for _ in range(restarts)]
+
+
+def run_restarts(
+    points: np.ndarray,
+    seed_sets: Sequence[np.ndarray],
+    weights: np.ndarray | None = None,
+    max_iter: int = DEFAULT_MAX_ITER,
+    kernel: "str | LloydKernel | None" = None,
+) -> list[KMeansResult]:
+    """The in-process runner: one ``lloyd`` per seed set, one after another."""
+    return [
+        lloyd(points, seeds, weights=weights, max_iter=max_iter, kernel=kernel)
+        for seeds in seed_sets
+    ]
+
+
+def pick_best(results: Sequence[KMeansResult]) -> RestartReport:
+    """The first run with the strictly lowest MSE wins; counters are summed."""
+    best_index = 0
+    counters = KernelCounters()
+    for run, result in enumerate(results):
+        counters.merge(result.counters)
+        if result.mse < results[best_index].mse:
+            best_index = run
+    return RestartReport(
+        best=results[best_index],
+        mses=[result.mse for result in results],
+        iteration_counts=[result.iterations for result in results],
+        best_index=best_index,
+        counters=counters,
+    )
+
+
 def best_of_restarts(
     points: np.ndarray,
     k: int,
@@ -52,6 +120,7 @@ def best_of_restarts(
     seeding: str = "random",
     max_iter: int = DEFAULT_MAX_ITER,
     kernel: "str | LloydKernel | None" = None,
+    runner: RestartRunner | None = None,
 ) -> RestartReport:
     """Run ``restarts`` independent k-means and keep the lowest-MSE model.
 
@@ -66,41 +135,13 @@ def best_of_restarts(
         max_iter: per-run iteration cap.
         kernel: assignment backend name or instance, forwarded to
             :func:`~repro.core.kmeans.lloyd` for every restart.
+        runner: runs the Lloyd calls (:data:`RestartRunner`); ``None`` is
+            :func:`run_restarts`.  Every runner returns the same bits.
 
     Returns:
         A :class:`RestartReport` with the winning run and diagnostics.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
     pts = as_points(points)
-    seeder = resolve_strategy(seeding)
-
-    best: KMeansResult | None = None
-    best_index = 0
-    mses: list[float] = []
-    iteration_counts: list[int] = []
-    counters = KernelCounters()
-
-    for run in range(restarts):
-        if seeding in ("kmeans++", "kmeans||"):
-            seeds = seeder(pts, k, rng, weights=weights)
-        else:
-            seeds = seeder(pts, k, rng)
-        result = lloyd(
-            pts, seeds, weights=weights, max_iter=max_iter, kernel=kernel
-        )
-        mses.append(result.mse)
-        iteration_counts.append(result.iterations)
-        counters.merge(result.counters)
-        if best is None or result.mse < best.mse:
-            best = result
-            best_index = run
-
-    assert best is not None  # restarts >= 1
-    return RestartReport(
-        best=best,
-        mses=mses,
-        iteration_counts=iteration_counts,
-        best_index=best_index,
-        counters=counters,
-    )
+    seed_sets = draw_seed_sets(pts, k, restarts, rng, weights, seeding)
+    results = (runner or run_restarts)(pts, seed_sets, weights, max_iter, kernel)
+    return pick_best(results)

@@ -49,6 +49,7 @@ from repro.stream.metrics import (
     StallEvent,
     stopwatch,
 )
+from repro.stream.helpers import RestartHelpers, fork_restart_helpers
 from repro.stream.mp import (
     PROCESSES,
     SHARDS,
@@ -96,9 +97,11 @@ class Executor:
             supervisor's entries.
         stall_timeout: arm the hung-operator watchdog with this deadline
             (seconds); ``None`` leaves it off unless the plan sets one.
-        backend: ``"threads"`` runs every operator on a thread (default);
+        backend: ``"threads"`` runs every operator on a thread (default),
+            with a large partition's restarts spread over restart helper
+            processes (:mod:`repro.stream.helpers`);
             ``"processes"`` offloads spec-enabled cloneable transforms to
-            worker processes fed over shared memory (sources, sinks and
+            worker processes fed over pipes (sources, sinks and
             queues stay in-process).  ``None`` defers to the plan's
             backend, then the ``REPRO_STREAM_BACKEND`` environment
             variable, then ``"threads"``.
@@ -166,13 +169,17 @@ class Executor:
             for queue in plan.queues.values():
                 queue.abort()
 
-        # Worker processes start before any operator thread: forking a
-        # single-threaded parent is safe, forking a running pool is not.
+        # Worker processes and restart helpers start before any operator
+        # thread: forking a single-threaded parent is safe, forking a
+        # running pool is not.
         workers: list[WorkerHandle] = []
+        helpers: RestartHelpers | None = None
         try:
             operators = list(plan.operators)
             if backend == PROCESSES:
                 operators = self._offload_to_processes(plan, operators, workers)
+            else:
+                helpers = fork_restart_helpers(operators, self.mp_context)
 
             threads = []
             started = time.perf_counter()
@@ -204,6 +211,8 @@ class Executor:
         finally:
             for worker in workers:
                 worker.shutdown()
+            if helpers is not None:
+                helpers.shutdown()
 
         metrics = ExecutionMetrics(
             wall_seconds=wall,
@@ -217,6 +226,7 @@ class Executor:
             stalls=stalls,
             backend=backend,
             workers=[worker.stats for worker in workers],
+            helpers=list(helpers.stats) if helpers is not None else [],
         )
         if failures:
             raise ExecutionError(failures, metrics=metrics)

@@ -45,6 +45,7 @@ from repro.stream.supervision import RetryPolicy, SupervisionPolicy, Supervisor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (checkpoint uses items)
     from repro.stream.checkpoint import JournalWriter
+    from repro.stream.helpers import RestartHelpers
 
 __all__ = [
     "GridCellChunkSource",
@@ -282,6 +283,10 @@ class PartialKMeansOperator(Transform):
         self.seed_sequence = (
             seed_sequence if seed_sequence is not None else np.random.SeedSequence()
         )
+        #: The run's :class:`~repro.stream.helpers.RestartHelpers`, set by
+        #: the thread-backend executor for the length of one run; ``None``
+        #: runs every restart on this operator's thread.  Same bits.
+        self.restart_helpers: "RestartHelpers | None" = None
 
     @classmethod
     def from_recipe(
@@ -316,6 +321,7 @@ class PartialKMeansOperator(Transform):
             self.recipe,
             chunk_rng(self.seed_sequence, item.cell_id, item.partition),
             source=f"{item.cell_id}/P{item.partition}",
+            runner=self.restart_helpers,
         )
         yield CentroidMessage(
             cell_id=item.cell_id,
@@ -580,7 +586,7 @@ def run_partial_merge_stream(
             operators fail fast.
         retry_policy: default per-item retry policy for all transforms.
         backend: run partial-k-means clones on ``"threads"`` or
-            ``"processes"`` (worker processes fed over shared memory);
+            ``"processes"`` (worker processes fed over pipes);
             ``None`` defers to the ``REPRO_STREAM_BACKEND`` environment
             variable, then ``"threads"``.  Results are bit-identical
             across backends for a fixed seed.  ``"shards"`` routes the

@@ -132,19 +132,22 @@ class StallEvent:
 
 @dataclass
 class WorkerProcessStats:
-    """Accounting for one process-backend worker.
+    """Accounting for one worker process: a process-backend worker or a
+    thread-backend restart helper (:mod:`repro.stream.helpers`).
 
     Attributes:
-        name: physical operator the worker serves (e.g. ``"partial#2"``).
+        name: physical operator the worker serves (e.g. ``"partial#2"``),
+            or ``"restart-helper#i"``.
         pid: worker process id.
-        items: items the worker processed.
+        items: results the worker returned — one partition summary per
+            chunk for a partial worker, one Lloyd run per restart for a
+            restart helper (the restarts that ran off the partial thread).
         busy_seconds: time spent inside ``process`` calls *in the worker*
-            (excludes shared-memory transfer and pipe round-trips, so the
-            gap to the dispatching operator's ``busy_seconds`` is the IPC
-            overhead).
+            (excludes pickling and pipe round-trips, so the gap to the
+            dispatching operator's ``busy_seconds`` is the IPC overhead).
         spawn_seconds: time to start the process and build its operator
             from the pickled spec.
-        shm_bytes: point-array bytes handed over via shared memory.
+        shm_bytes: point-array bytes shipped to the worker over its pipe.
     """
 
     name: str
@@ -462,6 +465,8 @@ class ExecutionMetrics:
             ``"processes"`` or ``"shards"``).
         workers: per-worker process accounting (empty on the thread
             backend).
+        helpers: per-helper accounting of the thread backend's restart
+            helpers (empty when none were forked).
         shards: per-worker shard-runtime accounting (empty off the
             shard backend).
         recoveries: worker losses the shard coordinator handled.
@@ -475,6 +480,7 @@ class ExecutionMetrics:
     checkpoint: CheckpointStats | None = None
     backend: str = "threads"
     workers: list[WorkerProcessStats] = field(default_factory=list)
+    helpers: list[WorkerProcessStats] = field(default_factory=list)
     shards: list[ShardWorkerStats] = field(default_factory=list)
     recoveries: list[RecoveryEvent] = field(default_factory=list)
 
@@ -563,7 +569,7 @@ class ExecutionMetrics:
 
     @property
     def shm_bytes(self) -> int:
-        """Point-array bytes transferred via shared memory."""
+        """Point-array bytes shipped to process-backend workers."""
         return sum(worker.shm_bytes for worker in self.workers)
 
     @property
@@ -618,9 +624,10 @@ class ExecutionMetrics:
             )
         if self.workers:
             lines.append(f"  backend: {self.backend}")
-            for worker in sorted(self.workers, key=lambda w: w.name):
+        for label, group in (("worker", self.workers), ("helper", self.helpers)):
+            for worker in sorted(group, key=lambda w: w.name):
                 lines.append(
-                    f"  worker {worker.name:<13} pid={worker.pid:<7} "
+                    f"  {label} {worker.name:<13} pid={worker.pid:<7} "
                     f"items={worker.items:<5} busy={worker.busy_seconds:.3f}s "
                     f"shm={worker.shm_bytes / 1e6:.1f}MB "
                     f"spawn={worker.spawn_seconds:.3f}s"

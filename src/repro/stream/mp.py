@@ -1,4 +1,4 @@
-"""Process-parallel execution backend with shared-memory chunk transfer.
+"""Process-parallel execution backend: worker processes fed over pipes.
 
 The paper's Figure 8 speed-up comes from cloning the partial k-means
 operator across *machines*; the thread backend approximates that only as
@@ -11,11 +11,12 @@ keeping the engine's dataflow untouched:
   worker process and relays the results into the output queue.  Sources,
   sinks and queues stay in-process, so the journal, merge state and
   backpressure semantics are identical to the thread backend.
-* Bulk point arrays cross the process boundary through
-  :mod:`multiprocessing.shared_memory`: the dispatcher copies a chunk's
-  points into a segment and sends a small header (name, shape, dtype)
-  over the pipe — point payloads are never pickled.  Centroid summaries
-  coming back are tiny (``k × (d+1)`` floats) and travel pickled.
+* Every task crosses the process boundary pickled over the worker's
+  pipe, a chunk's points included (one copy, at memory speed for the
+  partition sizes the memory budget allows).  Nothing is placed in
+  shared memory, so no segment, and no ``multiprocessing`` resource
+  tracker process, can outlive the run.  Centroid summaries coming back
+  are tiny (``k × (d+1)`` floats).
 * Workers rebuild their operator from a picklable **spec**: an operator
   opts into the backend by implementing ``to_spec()`` returning an
   object with a ``build()`` method.  A spec-built clone must make
@@ -37,10 +38,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from multiprocessing import shared_memory
 from typing import Any, Protocol, runtime_checkable
-
-import numpy as np
 
 from repro.stream.errors import WorkerCrashed
 from repro.stream.items import DataChunk
@@ -146,77 +144,6 @@ def supports_process_backend(operator: Any) -> bool:
     return callable(getattr(operator, "to_spec", None))
 
 
-# -- shared-memory chunk transfer -------------------------------------------
-
-
-def _chunk_to_shm(chunk: DataChunk) -> tuple[dict, shared_memory.SharedMemory]:
-    """Copy a chunk's points into a fresh shared-memory segment.
-
-    Returns the pipe-sized header (identity + segment name + dtype/shape
-    handshake) and the segment, whose lifetime the caller owns: unlink
-    only after the worker has replied, i.e. attached and finished.
-    """
-    points = chunk.points
-    segment = shared_memory.SharedMemory(create=True, size=max(1, points.nbytes))
-    target = np.ndarray(points.shape, dtype=points.dtype, buffer=segment.buf)
-    target[...] = points
-    header = {
-        "cell_id": chunk.cell_id,
-        "partition": chunk.partition,
-        "n_partitions": chunk.n_partitions,
-        "shm_name": segment.name,
-        "shape": tuple(points.shape),
-        "dtype": points.dtype.str,
-    }
-    return header, segment
-
-
-def _attach_untracked(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without tracker registration.
-
-    CPython < 3.13 registers a segment with the resource tracker even on
-    attach (bpo-39959).  The parent owns segment lifetime, so the worker
-    must not take part in tracker bookkeeping at all: under the fork
-    start method the tracker process is shared, and a worker-side
-    registration/unregistration races the parent's own unlink (the
-    tracker logs a KeyError for whichever unregister lands second).
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # pragma: no cover - track= keyword is 3.13+
-        pass
-    from multiprocessing import resource_tracker
-
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
-def _chunk_from_shm(header: dict) -> DataChunk:
-    """Rebuild a chunk in the worker from its shared-memory header.
-
-    The points are copied into worker-private memory so the parent can
-    unlink the segment the moment the reply arrives.
-    """
-    segment = _attach_untracked(header["shm_name"])
-    try:
-        view = np.ndarray(
-            header["shape"], dtype=np.dtype(header["dtype"]), buffer=segment.buf
-        )
-        points = np.array(view)
-    finally:
-        segment.close()
-    return DataChunk(
-        cell_id=header["cell_id"],
-        partition=header["partition"],
-        points=points,
-        n_partitions=header["n_partitions"],
-    )
-
-
 # -- worker process ----------------------------------------------------------
 
 
@@ -245,17 +172,22 @@ def _decode_exception(
     )
 
 
-def _worker_main(conn) -> None:
+def _worker_main(conn, parent_end: Any = None) -> None:
     """Worker process loop: build the operator, answer task messages.
+
+    ``parent_end`` is a forked worker's copy of the parent's end of its
+    own pipe.  It is closed first: while any copy of that end stays open,
+    the worker never sees EOF when the parent dies, and would outlive it.
 
     Protocol (all messages are tuples; first element is the kind):
 
     * ``("init", spec)`` → ``("ready", pid)`` or ``("initerr", error)``
-    * ``("chunk", header)`` → ``("ok", outputs, seconds)`` /
-      ``("err", error, seconds)`` — points arrive via shared memory
-    * ``("item", item)`` → same replies — pickled control items
+    * ``("item", item)`` → ``("ok", outputs, seconds)`` /
+      ``("err", error, seconds)`` — the pickled task
     * ``("stop",)`` → ``("bye",)`` and exit
     """
+    if parent_end is not None:
+        parent_end.close()
     operator: Transform | None = None
     while True:
         try:
@@ -270,15 +202,11 @@ def _worker_main(conn) -> None:
                 conn.send(("initerr", _encode_exception(exc)))
                 return
             conn.send(("ready", os.getpid()))
-        elif kind in ("chunk", "item"):
+        elif kind == "item":
             started = time.perf_counter()
             try:
-                if kind == "chunk":
-                    item: Any = _chunk_from_shm(message[1])
-                else:
-                    item = message[1]
                 assert operator is not None, "task before init"
-                outputs = list(operator.process(item))
+                outputs = list(operator.process(message[1]))
                 conn.send(("ok", outputs, time.perf_counter() - started))
             except BaseException as exc:  # noqa: BLE001 - reported to parent
                 conn.send(
@@ -294,9 +222,11 @@ def _worker_main(conn) -> None:
 class WorkerHandle:
     """Parent-side handle on one worker process.
 
-    One handle serves one physical operator instance; its dispatcher
-    thread is the only caller, so submissions are synchronous and need no
-    locking.
+    One handle serves one caller at a time — a physical operator
+    instance's dispatcher thread, or the partial thread that holds a
+    restart helper — so it needs no locking.  :meth:`submit` is
+    :meth:`post` then :meth:`collect`; a caller that splits them computes
+    on its own thread while the worker runs the task.
 
     Attributes:
         name: physical operator name the worker serves.
@@ -313,8 +243,6 @@ class WorkerHandle:
     def submit(self, item: Any) -> list:
         """Run ``item`` through the worker's operator; return its outputs.
 
-        Data chunks travel via shared memory; anything else is pickled.
-
         Raises:
             WorkerCrashed: the worker died mid-task or its error could
                 not be transferred.
@@ -322,19 +250,22 @@ class WorkerHandle:
                 locally (so retry/supervision policies see the original
                 exception type).
         """
-        if isinstance(item, DataChunk):
-            header, segment = _chunk_to_shm(item)
-            try:
-                self.conn.send(("chunk", header))
-                self.stats.shm_bytes += item.points.nbytes
-                return self._receive()
-            finally:
-                segment.close()
-                segment.unlink()
-        self.conn.send(("item", item))
-        return self._receive()
+        self.post(item)
+        return self.collect()
 
-    def _receive(self) -> list:
+    def post(self, item: Any) -> None:
+        """Send ``item`` (pickled, points and all) without waiting.
+
+        Raises:
+            OSError: the pipe is closed (the worker is gone).
+        """
+        self.conn.send(("item", item))
+        points = getattr(item, "points", None)
+        if points is not None:
+            self.stats.shm_bytes += points.nbytes
+
+    def collect(self) -> list:
+        """Wait for the reply to the last :meth:`post`; see :meth:`submit`."""
         try:
             reply = self.conn.recv()
         except (EOFError, OSError) as exc:
@@ -343,7 +274,7 @@ class WorkerHandle:
             ) from exc
         if reply[0] == "ok":
             _, outputs, seconds = reply
-            self.stats.items += 1
+            self.stats.items += len(outputs)
             self.stats.busy_seconds += seconds
             return outputs
         _, encoded, seconds = reply
@@ -387,9 +318,10 @@ def start_worker(
     """
     ctx = get_context(mp_context or default_mp_context())
     parent_conn, child_conn = ctx.Pipe()
+    forked = ctx.get_start_method() == "fork"
     process = ctx.Process(
         target=_worker_main,
-        args=(child_conn,),
+        args=(child_conn, parent_conn if forked else None),
         name=f"stream-worker-{name}",
         daemon=True,
     )

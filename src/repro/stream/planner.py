@@ -63,7 +63,7 @@ class PhysicalPlan:
             (``None`` disables the watchdog).
         backend: execution backend for cloneable transforms —
             ``"threads"`` (default), ``"processes"`` (worker processes
-            fed over shared memory), or ``None`` to defer to the
+            fed over pipes), or ``None`` to defer to the
             executor's own setting.
     """
 

@@ -239,7 +239,7 @@ class Query:
         Args:
             backend: ``"threads"`` (default engine behaviour) or
                 ``"processes"`` — partial clones run in worker processes
-                fed over shared memory.  For a fixed seed the results are
+                fed over pipes.  For a fixed seed the results are
                 bit-identical across backends.
             workers: shorthand for :meth:`with_partial_clones` (one
                 worker process per clone).

@@ -15,7 +15,11 @@ import json
 from pathlib import Path
 
 from repro.stream.distributed import SimReport
-from repro.stream.metrics import ExecutionMetrics, ServingMetrics
+from repro.stream.metrics import (
+    ExecutionMetrics,
+    ServingMetrics,
+    WorkerProcessStats,
+)
 
 __all__ = [
     "metrics_to_dict",
@@ -26,22 +30,24 @@ __all__ = [
 ]
 
 
+def _worker_to_dict(worker: WorkerProcessStats) -> dict:
+    return {
+        "name": worker.name,
+        "pid": worker.pid,
+        "items": worker.items,
+        "busy_seconds": worker.busy_seconds,
+        "spawn_seconds": worker.spawn_seconds,
+        "shm_bytes": worker.shm_bytes,
+    }
+
+
 def metrics_to_dict(metrics: ExecutionMetrics) -> dict:
     """Convert execution metrics to a JSON-safe dictionary."""
     payload = {
         "wall_seconds": metrics.wall_seconds,
         "backend": metrics.backend,
-        "workers": [
-            {
-                "name": worker.name,
-                "pid": worker.pid,
-                "items": worker.items,
-                "busy_seconds": worker.busy_seconds,
-                "spawn_seconds": worker.spawn_seconds,
-                "shm_bytes": worker.shm_bytes,
-            }
-            for worker in metrics.workers
-        ],
+        "workers": [_worker_to_dict(worker) for worker in metrics.workers],
+        "helpers": [_worker_to_dict(helper) for helper in metrics.helpers],
         "shards": [
             {
                 "name": shard.name,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,17 @@ import pytest
 def rng() -> np.random.Generator:
     """Deterministic generator, fresh per test."""
     return np.random.default_rng(12345)
+
+
+def child_pids() -> list[int]:
+    """Pids of this process's live children (empty where /proc is absent)."""
+    pids: list[int] = []
+    for children in Path("/proc/self/task").glob("*/children"):
+        try:
+            pids.extend(int(pid) for pid in children.read_text().split())
+        except OSError:
+            continue  # the task exited between glob and read
+    return pids
 
 
 def make_blobs(

@@ -19,16 +19,15 @@ from repro.stream.mp import (
     BACKEND_ENV_VAR,
     PROCESSES,
     THREADS,
-    _chunk_from_shm,
-    _chunk_to_shm,
     resolve_backend,
     start_worker,
     supports_process_backend,
     validate_backend,
 )
 from repro.stream.operators import FunctionTransform
+from repro.stream.query import Query
 from repro.stream.supervision import SupervisionPolicy
-from tests.conftest import make_blobs
+from tests.conftest import child_pids, make_blobs
 
 
 @pytest.fixture
@@ -48,6 +47,13 @@ class _ExplodingSpec:
             raise RuntimeError("boom from the worker")
 
         return FunctionTransform("exploder", explode)
+
+
+class _EchoSpec:
+    """Spec whose operator sends every item straight back."""
+
+    def build(self):
+        return FunctionTransform("echo", lambda item: [item])
 
 
 class _BadBuildSpec:
@@ -130,23 +136,24 @@ class TestOperatorSpec:
         assert operator.clone().to_spec() == operator.to_spec()
 
 
-class TestSharedMemoryTransfer:
+class TestPipeTransfer:
     def test_chunk_roundtrip_is_lossless(self, cells):
         chunk = DataChunk(
             cell_id="west", partition=0, points=cells["west"], n_partitions=4
         )
-        header, segment = _chunk_to_shm(chunk)
+        worker = start_worker(_EchoSpec(), name="echo#0")
         try:
-            rebuilt = _chunk_from_shm(header)
+            (rebuilt,) = worker.submit(chunk)
         finally:
-            segment.close()
-            segment.unlink()
+            worker.shutdown()
         assert rebuilt.cell_id == chunk.cell_id
         assert rebuilt.partition == chunk.partition
         assert rebuilt.n_partitions == chunk.n_partitions
+        assert rebuilt.points.dtype == chunk.points.dtype
+        assert rebuilt.points.shape == chunk.points.shape
         assert rebuilt.points.tobytes() == chunk.points.tobytes()
-        assert header["shape"] == chunk.points.shape
-        assert header["dtype"] == chunk.points.dtype.str
+        # The point bytes shipped over the pipe are accounted.
+        assert worker.stats.shm_bytes == chunk.points.nbytes
 
 
 class TestWorkerLifecycle:
@@ -226,6 +233,22 @@ class TestProcessBackendExecution:
         assert metrics.worker_busy_seconds > 0
         assert all(w.pid != os.getpid() for w in metrics.workers)
         assert any("backend: processes" in line for line in metrics.summary_lines())
+
+    def test_no_child_process_outlives_execute(self, cells):
+        before = set(child_pids())
+        result = (
+            Query.scan_cells(cells)
+            .partition(2)
+            .cluster(k=3, restarts=2)
+            .with_seed(5)
+            .with_backend("processes", workers=2)
+            .execute()
+        )
+        assert set(result.models) == set(cells)
+        assert len(result.execution.metrics.workers) == 2
+        # Neither a worker nor a multiprocessing helper process (such as
+        # the resource tracker shared memory used to start) is left.
+        assert set(child_pids()) - before == set()
 
     def test_thread_backend_reports_no_workers(self, cells):
         __, outcome = run_partial_merge_stream(
