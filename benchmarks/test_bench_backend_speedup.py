@@ -1,10 +1,12 @@
 """Benchmark: thread backend vs process backend for the partial stage.
 
-The process backend exists because thread clones only parallelise as far
-as numpy releases the GIL; worker processes sidestep the GIL entirely at
-the cost of pipe transfers and per-worker spawn time.  This
-benchmark runs the same fixed-seed pipeline on both backends, checks the
-results are bit-identical, and records the wall-time comparison in
+Both backends hand the partial stage to one pool of worker processes
+(``repro.stream.helpers``): the thread backend sizes it by the usable
+CPUs and forks it only where that is safe, the process backend sizes it
+by the partial clones and always starts it.  Workers sidestep the GIL at
+the cost of pipe transfers and per-worker spawn time.  This benchmark
+runs the same fixed-seed pipeline on both backends, checks the results
+are bit-identical, and records the wall-time comparison in
 ``BENCH_backend.json`` at the repository root.
 
 Note (same caveat as ``test_bench_speedup``): wall-clock speed-up needs
@@ -94,15 +96,16 @@ def test_bench_backend_speedup(benchmark):
                 "partial"
             ),
             "worker_busy_seconds": process_outcome.metrics.worker_busy_seconds,
-            "shm_megabytes": process_outcome.metrics.shm_bytes / 1e6,
+            "megabytes_shipped": process_outcome.metrics.bytes_shipped / 1e6,
             "workers": [
                 {
                     "name": worker.name,
-                    "items": worker.items,
+                    "partitions": worker.partitions,
+                    "restart_batches": worker.restart_batches,
                     "busy_seconds": worker.busy_seconds,
                     "spawn_seconds": worker.spawn_seconds,
                 }
-                for worker in process_outcome.metrics.workers
+                for worker in process_outcome.metrics.pool
             ],
         },
         "speedup_processes_over_threads": speedup,
@@ -122,8 +125,8 @@ def test_bench_backend_speedup(benchmark):
 
     metrics = process_outcome.metrics
     assert metrics.backend == "processes"
-    assert len(metrics.workers) == clones
-    assert metrics.shm_bytes > 0
+    assert len(metrics.pool) == clones
+    assert metrics.bytes_shipped > 0
     assert metrics.worker_busy_seconds > 0
 
     if meaningful and host_cpus >= 4:

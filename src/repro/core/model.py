@@ -131,8 +131,9 @@ class KMeansResult:
     Attributes:
         centroids: ``(k, d)`` final centroid coordinates.
         assignments: ``(n,)`` int array mapping each input point to a
-            centroid; ``None`` on a run that a restart helper process ran,
-            which ships back everything but the per-point assignments.
+            centroid; ``None`` on a run that a partial pool worker ran as
+            part of a restart batch, which ships back everything but the
+            per-point assignments.
         cluster_weights: ``(k,)`` weight mass assigned to each centroid.
         sse: weighted sum of squared distances of points to their centroid.
         mse: ``sse`` divided by the total weight mass (the paper's MSE).

@@ -7,8 +7,8 @@ independent once their seeds are drawn — the paper's Figure 2 "Method B:
 one restart per processor" — so :func:`best_of_restarts` runs in three
 steps: draw every seed set from ``rng`` (:func:`draw_seed_sets`), hand
 them to a **runner** that returns one Lloyd result per seed set
-(:func:`run_restarts` in-process by default; the stream engine's restart
-helpers spread them over processes), and pick the winner in run order
+(:func:`run_restarts` in-process by default; the stream engine's partial
+pool spreads them over processes), and pick the winner in run order
 (:func:`pick_best`).  ``lloyd`` consumes no randomness, so the seeds —
 and with them every result — are the same whichever runner ran them.
 """

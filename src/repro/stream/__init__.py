@@ -81,7 +81,6 @@ from repro.stream.mp import (
     SHARDS,
     THREADS,
     OperatorSpec,
-    ProcessBackedTransform,
     resolve_backend,
     start_worker,
     validate_backend,
@@ -163,7 +162,6 @@ __all__ = [
     "SHARDS",
     "THREADS",
     "OperatorSpec",
-    "ProcessBackedTransform",
     "resolve_backend",
     "start_worker",
     "validate_backend",

@@ -34,7 +34,8 @@ import sys
 import threading
 import time
 import traceback
-from dataclasses import dataclass, replace
+from collections import deque
+from dataclasses import dataclass
 from typing import Any
 
 from repro.stream.errors import (
@@ -49,27 +50,24 @@ from repro.stream.metrics import (
     StallEvent,
     stopwatch,
 )
-from repro.stream.helpers import RestartHelpers, fork_restart_helpers
-from repro.stream.mp import (
-    PROCESSES,
-    SHARDS,
-    ProcessBackedTransform,
-    WorkerHandle,
-    resolve_backend,
-    start_worker,
-    supports_process_backend,
-    validate_backend,
-)
+from repro.stream.helpers import PartialPool, open_pool
+from repro.stream.mp import PROCESSES, SHARDS, resolve_backend, validate_backend
 from repro.stream.operators import Sink, Source, Transform
 from repro.stream.planner import PhysicalOperator, PhysicalPlan
 from repro.stream.queues import END_OF_STREAM
 from repro.stream.supervision import (
+    FAIL_FAST,
     SupervisedTransform,
     SupervisionPolicy,
     Supervisor,
 )
 
 __all__ = ["ExecutionResult", "Executor"]
+
+
+def _done(outputs: list):
+    """A finished item's outputs, in the shape of a pending one."""
+    return lambda: outputs
 
 
 @dataclass(frozen=True)
@@ -97,14 +95,12 @@ class Executor:
             supervisor's entries.
         stall_timeout: arm the hung-operator watchdog with this deadline
             (seconds); ``None`` leaves it off unless the plan sets one.
-        backend: ``"threads"`` runs every operator on a thread (default),
-            with a large partition's restarts spread over restart helper
-            processes (:mod:`repro.stream.helpers`);
-            ``"processes"`` offloads spec-enabled cloneable transforms to
-            worker processes fed over pipes (sources, sinks and
-            queues stay in-process).  ``None`` defers to the plan's
-            backend, then the ``REPRO_STREAM_BACKEND`` environment
-            variable, then ``"threads"``.
+        backend: both run every operator on a thread and hand the
+            partial operators one pool of worker processes
+            (:mod:`repro.stream.helpers`): ``"threads"`` (default) sizes
+            it by the usable CPUs, ``"processes"`` by the partial clones.
+            ``None`` defers to the plan's backend, then the
+            ``REPRO_STREAM_BACKEND`` environment variable.
         mp_context: multiprocessing start method for worker processes
             (``"fork"``/``"spawn"``); ``None`` picks the platform default.
 
@@ -169,21 +165,16 @@ class Executor:
             for queue in plan.queues.values():
                 queue.abort()
 
-        # Worker processes and restart helpers start before any operator
-        # thread: forking a single-threaded parent is safe, forking a
-        # running pool is not.
-        workers: list[WorkerHandle] = []
-        helpers: RestartHelpers | None = None
+        # The partial pool starts before any operator thread: forking a
+        # single-threaded parent is safe, forking a running pool is not.
+        pool: PartialPool | None = None
         try:
-            operators = list(plan.operators)
-            if backend == PROCESSES:
-                operators = self._offload_to_processes(plan, operators, workers)
-            else:
-                helpers = fork_restart_helpers(operators, self.mp_context)
-
+            pool, pool_skipped = open_pool(
+                plan.operators, backend == PROCESSES, self.mp_context
+            )
             threads = []
             started = time.perf_counter()
-            for physical in operators:
+            for physical in plan.operators:
                 metrics = OperatorMetrics(name=physical.name)
                 all_metrics.append(metrics)
                 thread = threading.Thread(
@@ -209,10 +200,8 @@ class Executor:
                 )
             wall = time.perf_counter() - started
         finally:
-            for worker in workers:
-                worker.shutdown()
-            if helpers is not None:
-                helpers.shutdown()
+            if pool is not None:
+                pool.shutdown()
 
         metrics = ExecutionMetrics(
             wall_seconds=wall,
@@ -225,49 +214,12 @@ class Executor:
             ),
             stalls=stalls,
             backend=backend,
-            workers=[worker.stats for worker in workers],
-            helpers=list(helpers.stats) if helpers is not None else [],
+            pool=list(pool.stats) if pool is not None else [],
+            pool_skipped=pool_skipped,
         )
         if failures:
             raise ExecutionError(failures, metrics=metrics)
         return ExecutionResult(value=sink_box.get("result"), metrics=metrics)
-
-    def _offload_to_processes(
-        self,
-        plan: PhysicalPlan,
-        operators: list[PhysicalOperator],
-        workers: list[WorkerHandle],
-    ) -> list[PhysicalOperator]:
-        """Rebind spec-enabled transforms to dedicated worker processes.
-
-        One worker per physical instance, so the planner's clone decision
-        is also the process-parallelism decision.  Operators without a
-        spec — and transforms supervised with ``restart``, whose
-        snapshot/replay recovery needs the in-process instance — keep
-        running on their thread.  Started workers are appended to
-        ``workers`` as they come up so the caller can clean up even when
-        a later worker fails to start.
-        """
-        offloaded: list[PhysicalOperator] = []
-        for physical in operators:
-            operator = physical.operator
-            if (
-                isinstance(operator, Transform)
-                and supports_process_backend(operator)
-                and self._policy_for(plan, physical.logical_name).mode != "restart"
-            ):
-                worker = start_worker(
-                    operator.to_spec(),
-                    name=physical.name,
-                    mp_context=self.mp_context,
-                )
-                workers.append(worker)
-                physical = replace(
-                    physical,
-                    operator=ProcessBackedTransform(operator, worker),
-                )
-            offloaded.append(physical)
-        return offloaded
 
     # -- watchdog -----------------------------------------------------------
 
@@ -450,13 +402,39 @@ class Executor:
         assert physical.output_queue is not None
         transform = physical.operator
         assert isinstance(transform, Transform)
+        policy = self._policy_for(plan, physical.logical_name)
+        retry = self.supervisor.retry_policy_for(transform)
         runner = SupervisedTransform(
             transform=transform,
-            policy=self._policy_for(plan, physical.logical_name),
-            retry=self.supervisor.retry_policy_for(transform),
+            policy=policy,
+            retry=retry,
             metrics=metrics,
             name=physical.name,
         )
+        pool = getattr(transform, "pool", None)
+        if (
+            pool is not None
+            and policy.mode == FAIL_FAST
+            and retry.max_retries == 0
+            and retry.timeout is None
+        ):
+            # Pipelined: up to the pool's window of partitions in flight,
+            # gathered as they finish.  The first error aborts the plan,
+            # so it need not be raised from its own item's call.
+            submit = transform.submit
+        else:
+            submit = lambda item: _done(runner.process(item))  # noqa: E731
+        pending: deque = deque()
+
+        def emit(everything: bool = False) -> None:
+            # Outputs leave in input order.
+            while pending and (everything or getattr(pending[0], "ready", True)):
+                with stopwatch(metrics):
+                    outputs = pending.popleft()()
+                for output in outputs:
+                    physical.output_queue.put(output)
+                    metrics.items_out += 1
+
         try:
             while True:
                 item = physical.input_queue.get()
@@ -464,10 +442,11 @@ class Executor:
                     break
                 metrics.items_in += 1
                 with stopwatch(metrics):
-                    outputs = runner.process(item)
-                for output in outputs:
-                    physical.output_queue.put(output)
-                    metrics.items_out += 1
+                    if pool is not None:
+                        pool.make_room(pending)
+                    pending.append(submit(item))
+                emit()
+            emit(everything=True)
             with stopwatch(metrics):
                 flush = runner.finish()
             for output in flush:

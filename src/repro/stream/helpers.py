@@ -1,28 +1,16 @@
-"""Restart helpers: a partition's ``R`` restarts on every usable CPU.
+"""The partial pool: one run's partitions and restarts on every usable CPU.
 
-A partition's restarts are independent Lloyd runs from seed sets drawn
-up front, and only the min-MSE run is kept — the paper's Figure 2
-"Method B: one restart per processor".  On the thread backend the
-executor forks these helpers **before it starts any operator thread**
-(forking a single-threaded parent is safe, forking a running pool is
-not) and hands them to the plan's partial operators:
-
-* Helpers are forked only where they can pay: the ``fork`` start method,
-  at least two usable CPUs (``os.sched_getaffinity``), a partial
-  operator with ``restarts >= 2``, and no other thread alive in the
-  parent.  There is one helper per usable CPU, but never more than the
-  partial operators can keep busy at once (``restarts - 1`` each).
-* Each helper is an ordinary :mod:`repro.stream.mp` worker whose task is
-  a pickled :class:`RestartBatch`; it answers with one slim Lloyd result
-  per seed set (everything but the per-point assignments).
-* A partition of at least :data:`FANOUT_MIN_POINTS` points deals
-  restarts ``1 … R-1`` round-robin over the helpers that are free (it
-  never waits for one), runs its own share — restart 0 included — on the
-  partial thread, then gathers.  The winner is picked in run order as
-  in-process, so every bit is the same as a one-thread run.
-* A helper that dies is dropped and never re-forked; its restarts rerun
-  on the partial thread.  An error raised inside a helper is re-raised
-  with its type.
+The executor forks one pool of :mod:`repro.stream.mp` workers per run,
+**before it starts any operator thread** (forking a single-threaded
+parent is safe, forking a running thread pool is not), and hands it to
+the plan's partial operators.  Each worker answers a whole partition (a
+:class:`~repro.stream.items.DataChunk`, run by the partial operator
+rebuilt from its spec: the paper's cloned operator) or a
+:class:`RestartBatch` (some of one partition's restarts: its Figure 2
+"Method B"), with the same bits as a one-thread run.  A worker that dies
+is dropped, never re-forked, and its task reruns on the calling thread;
+an error raised inside a worker is re-raised there with its own type.
+``docs/stream_engine.md`` ("Partial pool") has the when and the why.
 """
 
 from __future__ import annotations
@@ -30,7 +18,8 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from multiprocessing import connection
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -40,25 +29,34 @@ from repro.core.model import KMeansResult
 from repro.core.restarts import run_restarts
 from repro.stream.errors import WorkerCrashed
 from repro.stream.metrics import WorkerProcessStats
-from repro.stream.mp import WorkerHandle, default_mp_context, start_worker
-from repro.stream.operators import Transform
+from repro.stream.mp import (
+    OperatorSpec,
+    WorkerHandle,
+    default_mp_context,
+    start_worker,
+    supports_process_backend,
+)
+from repro.stream.operators import FunctionTransform, Transform
 
 __all__ = [
     "FANOUT_MIN_POINTS",
+    "PartialPool",
+    "PoolLaneSpec",
     "RestartBatch",
-    "RestartHelperSpec",
-    "RestartHelpers",
-    "fork_restart_helpers",
+    "open_pool",
     "usable_cpus",
 ]
 
-#: Smallest partition whose restarts are spread over helpers.  Below it,
-#: shipping the points and gathering the results costs more than the
-#: restarts a helper takes off the partial thread: with k = 40, d = 6,
-#: random seeds and a 25-iteration cap on 2 CPUs, helpers lost at 250
-#: points (0.86x, 3 restarts) and won from 500 up (1.07x at 3 restarts,
-#: 1.23x at 10; 1.3-1.7x from 1 500).
-FANOUT_MIN_POINTS = 500
+#: Smallest partition whose restarts are dealt over the pool instead of
+#: the whole partition going to one worker (``restarts >= 2`` only).
+#: Measured with ``Query.scan_cells`` on one 75 000-point cell (k = 40,
+#: d = 6, random × 3, cap 25, 2 CPUs, min of 3, data seeds 1 and 2),
+#: whole partitions vs restart batches, in s: P = 3 (25 000 points)
+#: 0.49 / 0.62 vs 0.41 / 0.36; P = 5 (15 000) 0.41 vs 0.44; P = 10
+#: (7 500) 0.45 / 0.43 vs 0.56 / 0.48; P = 30 (2 500) 0.54 / 0.45 vs
+#: 0.64 / 0.52.  Three partitions on two workers leave a one-partition
+#: tail; from five up, whole partitions pipeline and win.
+FANOUT_MIN_POINTS = 20_000
 
 
 def usable_cpus() -> int:
@@ -70,7 +68,7 @@ def usable_cpus() -> int:
 
 @dataclass(frozen=True)
 class RestartBatch:
-    """One helper's share of a partition's restarts: points and seed sets."""
+    """One worker's share of a partition's restarts: points and seed sets."""
 
     points: np.ndarray
     seed_sets: tuple[np.ndarray, ...]
@@ -79,31 +77,82 @@ class RestartBatch:
     kernel: str | None
 
 
-class _RestartLane(Transform):
-    """A helper's operator: one Lloyd run per seed set of a batch."""
-
-    def process(self, item: RestartBatch) -> Iterator[KMeansResult]:
-        for result in run_restarts(
-            item.points, item.seed_sets, item.weights, item.max_iter, item.kernel
-        ):
-            yield replace(result, assignments=None)
+def run_batch(batch: RestartBatch) -> list[KMeansResult]:
+    """One Lloyd run per seed set of ``batch``, in this process."""
+    return run_restarts(
+        batch.points, batch.seed_sets, batch.weights, batch.max_iter, batch.kernel
+    )
 
 
 @dataclass(frozen=True)
-class RestartHelperSpec:
-    """Picklable spec building a restart helper's operator."""
+class PoolLaneSpec:
+    """Picklable spec building a pool worker's operator from the plan's
+    ``partial`` operator spec (``None``: restart batches only)."""
+
+    partial: OperatorSpec | None = None
 
     def build(self) -> Transform:
-        return _RestartLane("restart-helper")
+        partial = self.partial.build() if self.partial is not None else None
+
+        def lane(item: Any) -> list:
+            if isinstance(item, RestartBatch):
+                return [replace(run, assignments=None) for run in run_batch(item)]
+            return partial.process(item)
+
+        return FunctionTransform("pool-lane", lane)
 
 
-class RestartHelpers:
-    """Pre-forked restart helpers shared by one run's partial operators.
+@dataclass
+class _Task:
+    """A task posted to one pool worker; calling it gives its outputs.
 
-    Calling the pool is a :data:`~repro.core.restarts.RestartRunner`:
-    ``pool(points, seed_sets, weights, max_iter, kernel)`` returns one
-    result per seed set, in seed-set order.  Any number of partial
-    threads may call it at once; each takes only helpers that are free.
+    :meth:`gather` waits for the reply and frees the worker; a dead
+    worker's task reruns here.  A remote error is raised when called.
+    """
+
+    pool: "PartialPool"
+    worker: WorkerHandle | None
+    item: Any
+    rerun: Callable[[Any], list]
+    outputs: list | None = None
+    error: BaseException | None = None
+
+    @property
+    def ready(self) -> bool:
+        return self.worker is None
+
+    def gather(self) -> None:
+        worker, self.worker = self.worker, None
+        try:
+            self.outputs = worker.collect()
+        except WorkerCrashed:
+            self.pool._drop(worker)
+            self.outputs = self.rerun(self.item)
+            return
+        except BaseException as exc:  # noqa: BLE001 - raised by __call__
+            self.error = exc
+        else:
+            if isinstance(self.item, RestartBatch):
+                worker.stats.restart_batches += 1
+            else:
+                worker.stats.partitions += 1
+            self.item = None  # a finished partition's points can go
+        self.pool._release(worker)
+
+    def __call__(self) -> list:
+        if not self.ready:
+            self.gather()
+        if self.error is not None:
+            raise self.error
+        return self.outputs
+
+
+class PartialPool:
+    """Pre-forked workers shared by one run's partial operators.
+
+    :meth:`post` hands a whole partition to a free worker; calling the
+    pool is a :data:`~repro.core.restarts.RestartRunner`.  Any number of
+    threads may use it at once; each takes only workers that are free.
     """
 
     def __init__(self, handles: Sequence[WorkerHandle]) -> None:
@@ -111,37 +160,65 @@ class RestartHelpers:
         self._live = list(handles)
         self._lock = threading.Lock()
         self._operators: list = []
-        #: Accounting per helper ever forked, dropped ones included.
+        #: Accounting per worker ever forked, dropped ones included.
         self.stats: list[WorkerProcessStats] = [h.stats for h in handles]
 
     @classmethod
-    def fork(cls, count: int, mp_context: str | None = None) -> "RestartHelpers":
-        """Start ``count`` helpers; none are left running if one fails."""
+    def fork(
+        cls,
+        count: int,
+        partial: OperatorSpec | None = None,
+        mp_context: str | None = None,
+    ) -> "PartialPool":
+        """Start ``count`` workers; none are left running if one fails."""
         handles: list[WorkerHandle] = []
         try:
             for index in range(count):
-                handles.append(
-                    start_worker(
-                        RestartHelperSpec(),
-                        name=f"restart-helper#{index}",
-                        mp_context=mp_context,
-                    )
-                )
+                spec = PoolLaneSpec(partial)
+                handles.append(start_worker(spec, f"pool#{index}", mp_context))
         except BaseException:
             for handle in handles:
                 handle.shutdown()
             raise
         return cls(handles)
 
-    def __deepcopy__(self, memo) -> "RestartHelpers":
+    def __deepcopy__(self, memo) -> "PartialPool":
         # A ``restart``-supervised operator's snapshot and replacements
-        # share the run's helpers; processes and pipes cannot be copied.
+        # share the run's pool; processes and pipes cannot be copied.
         return self
 
     @property
     def live(self) -> int:
-        """Helpers not dropped or shut down."""
+        """Workers not dropped or shut down."""
         return len(self._live)
+
+    @property
+    def window(self) -> int:
+        """Partitions one of the attached operators may keep in flight."""
+        return max(1, self.live // max(1, len(self._operators)))
+
+    @staticmethod
+    def takes_whole(n_points: int, restarts: int) -> bool:
+        """Whether a partition goes whole to a worker, not as restarts."""
+        return restarts < 2 or n_points < FANOUT_MIN_POINTS
+
+    def post(self, item: Any, rerun: Callable[[Any], list]) -> _Task | None:
+        """Send ``item`` to a free worker; ``None`` when none is free."""
+        while True:
+            taken = self._acquire(1)
+            if not taken:
+                return None
+            task = self._send(taken[0], item, rerun)
+            if task is not None:
+                return task
+
+    def make_room(self, pending: Iterable) -> None:
+        """Gather ``pending``'s tasks as they finish until fewer than
+        :attr:`window` are in flight."""
+        flying = {t.worker.conn: t for t in pending if not getattr(t, "ready", True)}
+        while len(flying) >= self.window:
+            for conn in connection.wait(list(flying)):
+                flying.pop(conn).gather()
 
     def __call__(
         self,
@@ -152,14 +229,14 @@ class RestartHelpers:
         kernel: "str | LloydKernel | None" = None,
     ) -> list[KMeansResult]:
         restarts = len(seed_sets)
-        if restarts < 2 or points.shape[0] < FANOUT_MIN_POINTS:
+        if self.takes_whole(points.shape[0], restarts):
             return run_restarts(points, seed_sets, weights, max_iter, kernel)
-        helpers = self._acquire(restarts - 1)
-        lanes = len(helpers) + 1
+        workers = self._acquire(restarts - 1)
+        lanes = len(workers) + 1
         # Restart r runs on lane r % lanes; lane 0 is this thread.
         own = list(range(0, restarts, lanes))
-        posted: list[tuple[WorkerHandle, list[int]]] = []
-        for lane, helper in enumerate(helpers, start=1):
+        posted: list[tuple[_Task, list[int]]] = []
+        for lane, worker in enumerate(workers, start=1):
             share = list(range(lane, restarts, lanes))
             batch = RestartBatch(
                 points=points,
@@ -168,79 +245,74 @@ class RestartHelpers:
                 max_iter=max_iter,
                 kernel=kernel,
             )
-            try:
-                helper.post(batch)
-            except Exception:  # noqa: BLE001 - a dead pipe: run it here
-                self._drop(helper)
+            task = self._send(worker, batch, run_batch)
+            if task is None:
                 own.extend(share)
-                continue
-            posted.append((helper, share))
+            else:
+                posted.append((task, share))
 
         results: list[KMeansResult | None] = [None] * restarts
         error: BaseException | None = None
         try:
-            self._run_here(results, own, points, seed_sets, weights, max_iter, kernel)
+            local = run_restarts(
+                points, [seed_sets[run] for run in own], weights, max_iter, kernel
+            )
+            for run, result in zip(own, local):
+                results[run] = result
         except BaseException as exc:  # noqa: BLE001 - raised after the gather
             error = exc
-        lost: list[int] = []
-        for helper, share in posted:
+        for task, share in posted:
             try:
-                outputs = helper.collect()
-            except WorkerCrashed:
-                self._drop(helper)
-                lost.extend(share)
-                continue
+                outputs = task()
             except BaseException as exc:  # noqa: BLE001 - the remote error
-                self._release(helper)
                 error = error or exc
                 continue
-            self._release(helper)
             for run, result in zip(share, outputs):
                 results[run] = result
         if error is not None:
             raise error
-        self._run_here(results, lost, points, seed_sets, weights, max_iter, kernel)
         return results  # type: ignore[return-value]
 
-    @staticmethod
-    def _run_here(results, runs, points, seed_sets, weights, max_iter, kernel) -> None:
-        local = run_restarts(
-            points, [seed_sets[run] for run in runs], weights, max_iter, kernel
-        )
-        for run, result in zip(runs, local):
-            results[run] = result
+    def _send(self, worker: WorkerHandle, item: Any, rerun) -> _Task | None:
+        """Post ``item`` to ``worker``; drop the worker if its pipe is dead."""
+        try:
+            worker.post(item)
+        except Exception:  # noqa: BLE001 - a dead pipe: the caller runs it
+            self._drop(worker)
+            return None
+        return _Task(self, worker, item, rerun)
 
     def _acquire(self, limit: int) -> list[WorkerHandle]:
         with self._lock:
             taken, self._free = self._free[:limit], self._free[limit:]
         return taken
 
-    def _release(self, helper: WorkerHandle) -> None:
+    def _release(self, worker: WorkerHandle) -> None:
         with self._lock:
-            if helper in self._live:
-                self._free.append(helper)
+            if worker in self._live:
+                self._free.append(worker)
 
-    def _drop(self, helper: WorkerHandle) -> None:
-        """Retire a helper that died: reap it, never fork a replacement."""
+    def _drop(self, worker: WorkerHandle) -> None:
+        """Retire a worker that died: reap it, never fork a replacement."""
         with self._lock:
-            if helper in self._live:
-                self._live.remove(helper)
-        helper.shutdown(timeout=1.0)
+            if worker in self._live:
+                self._live.remove(worker)
+        worker.shutdown(timeout=1.0)
 
     def attach(self, operators: Iterable) -> None:
         """Give ``operators`` (partial operators) this pool until shutdown."""
         for operator in operators:
-            operator.restart_helpers = self
+            operator.pool = self
             self._operators.append(operator)
 
     def shutdown(self) -> None:
-        """Stop every live helper and detach the pool from its operators."""
+        """Stop every live worker and detach the pool from its operators."""
         for operator in self._operators:
-            operator.restart_helpers = None
+            operator.pool = None
         with self._lock:
             live, self._live, self._free = self._live, [], []
-        for helper in live:
-            helper.shutdown()
+        for worker in live:
+            worker.shutdown()
 
 
 def _partial_operators(operators: Iterable) -> list:
@@ -248,34 +320,39 @@ def _partial_operators(operators: Iterable) -> list:
     found = []
     for physical in operators:
         operator = physical.operator
-        while not hasattr(operator, "restart_helpers") and hasattr(operator, "inner"):
+        while not supports_process_backend(operator) and hasattr(operator, "inner"):
             operator = operator.inner
-        if hasattr(operator, "restart_helpers"):
+        if supports_process_backend(operator):
             found.append(operator)
     return found
 
 
-def fork_restart_helpers(
-    operators: Iterable, mp_context: str | None = None
-) -> RestartHelpers | None:
-    """Fork a plan's restart helpers and hand them to its partial operators.
+def open_pool(
+    operators: Iterable, processes: bool = False, mp_context: str | None = None
+) -> tuple[PartialPool | None, str | None]:
+    """Fork a run's partial pool and attach it to its partial operators.
 
-    Call before any operator thread starts.  Returns ``None`` (and forks
-    nothing) unless the start method is ``fork``, at least two CPUs are
-    usable, some partial operator runs ``restarts >= 2`` and no other
-    thread is alive.  The caller must :meth:`~RestartHelpers.shutdown`
-    the pool when the run ends, which also detaches it.
+    Call before any operator thread starts.  Returns ``(pool, None)``, or
+    ``(None, reason)`` when it forks nothing.  The caller must
+    :meth:`~PartialPool.shutdown` the pool, which also detaches it.
     """
     partials = _partial_operators(operators)
-    cpus = usable_cpus()
-    count = min(cpus, sum(operator.recipe.restarts - 1 for operator in partials))
-    if (
-        count < 1
-        or cpus < 2
-        or (mp_context or default_mp_context()) != "fork"
-        or threading.active_count() != 1
-    ):
-        return None
-    pool = RestartHelpers.fork(count, mp_context="fork")
+    if not partials:
+        return None, "no partial operator"
+    spec = partials[0].to_spec()
+    # A worker runs one spec; a partial with another one keeps its thread.
+    partials = [operator for operator in partials if operator.to_spec() == spec]
+    context = mp_context or default_mp_context()
+    if processes:
+        size = len(partials)
+    else:
+        size = usable_cpus()
+        if size < 2:
+            return None, "one usable CPU"
+        if context != "fork":
+            return None, f"{context} start method"
+        if threading.active_count() != 1:
+            return None, "another thread alive"
+    pool = PartialPool.fork(size, spec, mp_context=context)
     pool.attach(partials)
-    return pool
+    return pool, None

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from repro.stream.supervision import RetryPolicy, SupervisionPolicy, Supervisor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (checkpoint uses items)
     from repro.stream.checkpoint import JournalWriter
-    from repro.stream.helpers import RestartHelpers
+    from repro.stream.helpers import PartialPool
 
 __all__ = [
     "GridCellChunkSource",
@@ -283,10 +283,10 @@ class PartialKMeansOperator(Transform):
         self.seed_sequence = (
             seed_sequence if seed_sequence is not None else np.random.SeedSequence()
         )
-        #: The run's :class:`~repro.stream.helpers.RestartHelpers`, set by
-        #: the thread-backend executor for the length of one run; ``None``
-        #: runs every restart on this operator's thread.  Same bits.
-        self.restart_helpers: "RestartHelpers | None" = None
+        #: The run's :class:`~repro.stream.helpers.PartialPool`, set by the
+        #: executor for the length of one run; ``None`` computes every
+        #: partition on this operator's thread.  Same bits.
+        self.pool: "PartialPool | None" = None
 
     @classmethod
     def from_recipe(
@@ -306,24 +306,43 @@ class PartialKMeansOperator(Transform):
             self.k, self.recipe, self.seed_sequence, self.name
         )
 
-    def process(
-        self, item: DataChunk | Watermark
-    ) -> Iterator[CentroidMessage | Watermark]:
+    def process(self, item: DataChunk | Watermark) -> list:
+        return self.submit(item)()
+
+    def submit(self, item: DataChunk | Watermark) -> Callable[[], list]:
+        """Start ``item``; the returned call gives its outputs.
+
+        With the run's pool attached, a partition the pool takes whole
+        goes to a free worker (the call gathers it; it is ``ready`` once
+        gathered); any other item is computed here, before this returns.
+        Control messages pass through untouched: the merge sink
+        correlates them with the per-cell message count, so clone
+        reordering cannot finalise a cell early.
+        """
         if isinstance(item, Watermark):
-            # Control messages pass through untouched; the merge sink
-            # correlates them with the per-cell message count, so clone
-            # reordering cannot finalise a cell early.
-            yield item
-            return
+            return lambda: [item]
+        pool = self.pool
+        if pool is not None and pool.takes_whole(
+            item.points.shape[0], self.recipe.restarts
+        ):
+            task = pool.post(item, self._summarise)
+            if task is not None:
+                return task
+        outputs = self._summarise(item)
+        return lambda: outputs
+
+    def _summarise(self, item: DataChunk) -> list[CentroidMessage]:
+        """The partition's summary, computed on this thread (restarts
+        fan out over the pool when it has one)."""
         result = partial_kmeans(
             item.points,
             self.k,
             self.recipe,
             chunk_rng(self.seed_sequence, item.cell_id, item.partition),
             source=f"{item.cell_id}/P{item.partition}",
-            runner=self.restart_helpers,
+            runner=self.pool,
         )
-        yield CentroidMessage(
+        message = CentroidMessage(
             cell_id=item.cell_id,
             partition=item.partition,
             summary=result.summary,
@@ -334,9 +353,10 @@ class PartialKMeansOperator(Transform):
                 result.counters.as_dict() if result.counters else None
             ),
         )
+        return [message]
 
     def to_spec(self) -> "PartialKMeansSpec":
-        """Picklable spec for the process backend (rebuilds this clone)."""
+        """Picklable spec for a pool worker (rebuilds this clone)."""
         base = self.seed_sequence
         return PartialKMeansSpec(
             k=self.k,
@@ -351,13 +371,13 @@ class PartialKMeansOperator(Transform):
 class PartialKMeansSpec:
     """Picklable spec rebuilding a :class:`PartialKMeansOperator`.
 
-    The process backend ships this spec to the worker instead of the
+    The partial pool ships this spec to its workers instead of the
     operator itself; ``recipe`` is the operator's frozen
     :class:`~repro.core.recipe.Recipe`.  ``entropy``/``spawn_key``
     reconstruct the shared seed sequence exactly, so a worker-built
     clone derives the same chunk-identity RNG streams as the in-process
-    original — which is why thread- and process-backend runs of the same
-    plan are bit-identical.
+    original — which is why pooled and one-thread runs of the same plan
+    are bit-identical.
     """
 
     k: int

@@ -132,30 +132,31 @@ class StallEvent:
 
 @dataclass
 class WorkerProcessStats:
-    """Accounting for one worker process: a process-backend worker or a
-    thread-backend restart helper (:mod:`repro.stream.helpers`).
+    """Accounting for one partial pool worker (:mod:`repro.stream.helpers`).
 
     Attributes:
-        name: physical operator the worker serves (e.g. ``"partial#2"``),
-            or ``"restart-helper#i"``.
+        name: the worker's label (``"pool#i"``).
         pid: worker process id.
         items: results the worker returned — one partition summary per
-            chunk for a partial worker, one Lloyd run per restart for a
-            restart helper (the restarts that ran off the partial thread).
+            whole partition, one Lloyd run per restart of a batch.
+        partitions: whole partitions the worker ran.
+        restart_batches: restart batches the worker ran.
         busy_seconds: time spent inside ``process`` calls *in the worker*
             (excludes pickling and pipe round-trips, so the gap to the
-            dispatching operator's ``busy_seconds`` is the IPC overhead).
+            partial operator's ``busy_seconds`` is the IPC overhead).
         spawn_seconds: time to start the process and build its operator
             from the pickled spec.
-        shm_bytes: point-array bytes shipped to the worker over its pipe.
+        bytes_shipped: point-array bytes sent to the worker over its pipe.
     """
 
     name: str
     pid: int = 0
     items: int = 0
+    partitions: int = 0
+    restart_batches: int = 0
     busy_seconds: float = 0.0
     spawn_seconds: float = 0.0
-    shm_bytes: int = 0
+    bytes_shipped: int = 0
 
 
 @dataclass
@@ -463,10 +464,12 @@ class ExecutionMetrics:
             was not checkpointed).
         backend: execution backend the plan ran on (``"threads"``,
             ``"processes"`` or ``"shards"``).
-        workers: per-worker process accounting (empty on the thread
-            backend).
-        helpers: per-helper accounting of the thread backend's restart
-            helpers (empty when none were forked).
+        pool: per-worker accounting of the run's partial pool (empty
+            when none was forked).
+        pool_skipped: why no pool was forked (``"one usable CPU"``,
+            ``"spawn start method"``, ``"another thread alive"`` or
+            ``"no partial operator"``); ``None`` when one was, and off
+            the plan engine.
         shards: per-worker shard-runtime accounting (empty off the
             shard backend).
         recoveries: worker losses the shard coordinator handled.
@@ -479,8 +482,8 @@ class ExecutionMetrics:
     stalls: list[StallEvent] = field(default_factory=list)
     checkpoint: CheckpointStats | None = None
     backend: str = "threads"
-    workers: list[WorkerProcessStats] = field(default_factory=list)
-    helpers: list[WorkerProcessStats] = field(default_factory=list)
+    pool: list[WorkerProcessStats] = field(default_factory=list)
+    pool_skipped: str | None = None
     shards: list[ShardWorkerStats] = field(default_factory=list)
     recoveries: list[RecoveryEvent] = field(default_factory=list)
 
@@ -564,13 +567,13 @@ class ExecutionMetrics:
 
     @property
     def worker_busy_seconds(self) -> float:
-        """In-worker compute time summed over all process workers."""
-        return sum(worker.busy_seconds for worker in self.workers)
+        """In-worker compute time summed over the pool's workers."""
+        return sum(worker.busy_seconds for worker in self.pool)
 
     @property
-    def shm_bytes(self) -> int:
-        """Point-array bytes shipped to process-backend workers."""
-        return sum(worker.shm_bytes for worker in self.workers)
+    def bytes_shipped(self) -> int:
+        """Point-array bytes sent to the pool's workers."""
+        return sum(worker.bytes_shipped for worker in self.pool)
 
     @property
     def total_reassignments(self) -> int:
@@ -622,16 +625,19 @@ class ExecutionMetrics:
                 f"  incomplete: {len(incomplete)} cell(s) finalised with "
                 f"missing partitions: " + ", ".join(incomplete)
             )
-        if self.workers:
+        if self.pool:
             lines.append(f"  backend: {self.backend}")
-        for label, group in (("worker", self.workers), ("helper", self.helpers)):
-            for worker in sorted(group, key=lambda w: w.name):
-                lines.append(
-                    f"  {label} {worker.name:<13} pid={worker.pid:<7} "
-                    f"items={worker.items:<5} busy={worker.busy_seconds:.3f}s "
-                    f"shm={worker.shm_bytes / 1e6:.1f}MB "
-                    f"spawn={worker.spawn_seconds:.3f}s"
-                )
+        elif self.pool_skipped:
+            lines.append(f"  pool: none ({self.pool_skipped})")
+        for worker in sorted(self.pool, key=lambda w: w.name):
+            lines.append(
+                f"  pool {worker.name:<8} pid={worker.pid:<7} "
+                f"partitions={worker.partitions:<5} "
+                f"restart_batches={worker.restart_batches:<5} "
+                f"busy={worker.busy_seconds:.3f}s "
+                f"shipped={worker.bytes_shipped / 1e6:.1f}MB "
+                f"spawn={worker.spawn_seconds:.3f}s"
+            )
         if self.shards:
             lines.append(f"  backend: {self.backend}")
             for shard in sorted(self.shards, key=lambda s: s.name):

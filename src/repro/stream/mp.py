@@ -1,33 +1,17 @@
-"""Process-parallel execution backend: worker processes fed over pipes.
+"""Worker processes fed over pipes, and the execution backend names.
 
-The paper's Figure 8 speed-up comes from cloning the partial k-means
-operator across *machines*; the thread backend approximates that only as
-far as numpy releases the GIL, so the Lloyd loop's pure-Python overhead
-serialises clones.  This module supplies real process parallelism while
-keeping the engine's dataflow untouched:
-
-* Each process-backed physical transform keeps its executor thread, but
-  that thread becomes a *dispatcher*: it feeds items to a dedicated
-  worker process and relays the results into the output queue.  Sources,
-  sinks and queues stay in-process, so the journal, merge state and
-  backpressure semantics are identical to the thread backend.
-* Every task crosses the process boundary pickled over the worker's
-  pipe, a chunk's points included (one copy, at memory speed for the
-  partition sizes the memory budget allows).  Nothing is placed in
-  shared memory, so no segment, and no ``multiprocessing`` resource
-  tracker process, can outlive the run.  Centroid summaries coming back
-  are tiny (``k × (d+1)`` floats).
-* Workers rebuild their operator from a picklable **spec**: an operator
-  opts into the backend by implementing ``to_spec()`` returning an
-  object with a ``build()`` method.  A spec-built clone must make
-  ``process`` a pure function of the item and the spec (true for
-  :class:`~repro.stream.kmeans_ops.PartialKMeansOperator`, whose
-  chunk-identity RNG depends only on the seed and ``(cell, partition)``),
-  which is exactly what makes process runs bit-identical to thread runs.
-
-Operators without a spec — and operators supervised with the ``restart``
-policy, whose snapshot/replay recovery needs an in-process instance —
-transparently keep running on their thread.
+Threads parallelise the partial k-means operator only as far as numpy
+releases the GIL.  This module supplies the process half: one worker
+process per :func:`start_worker` call, answering task messages with its
+operator's outputs; the partial pool (:mod:`repro.stream.helpers`) is
+built from these workers.  Every task crosses the process boundary
+pickled over the worker's pipe, a chunk's points included (one copy);
+nothing is placed in shared memory, so no segment, and no resource
+tracker process, can outlive the run.  A worker rebuilds its operator
+from a picklable **spec** (an operator opts in by implementing
+``to_spec()``); a spec-built clone must make ``process`` a pure function
+of the item and the spec, which is what makes pooled runs bit-identical
+to thread runs.
 """
 
 from __future__ import annotations
@@ -37,11 +21,10 @@ import pickle
 import time
 import traceback
 from dataclasses import dataclass, field
-from multiprocessing import get_context
+from multiprocessing import get_all_start_methods, get_context
 from typing import Any, Protocol, runtime_checkable
 
 from repro.stream.errors import WorkerCrashed
-from repro.stream.items import DataChunk
 from repro.stream.metrics import WorkerProcessStats
 from repro.stream.operators import Transform
 
@@ -51,7 +34,6 @@ __all__ = [
     "SHARDS",
     "BACKEND_ENV_VAR",
     "OperatorSpec",
-    "ProcessBackedTransform",
     "WorkerHandle",
     "default_mp_context",
     "resolve_backend",
@@ -124,10 +106,7 @@ def default_mp_context() -> str:
     env = os.environ.get(MP_CONTEXT_ENV_VAR)
     if env:
         return env
-    import multiprocessing
-
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
+    return "fork" if "fork" in get_all_start_methods() else "spawn"
 
 
 @runtime_checkable
@@ -140,7 +119,7 @@ class OperatorSpec(Protocol):
 
 
 def supports_process_backend(operator: Any) -> bool:
-    """Whether an operator can be offloaded (implements ``to_spec``)."""
+    """Whether a worker can rebuild ``operator`` (it has ``to_spec``)."""
     return callable(getattr(operator, "to_spec", None))
 
 
@@ -222,14 +201,11 @@ def _worker_main(conn, parent_end: Any = None) -> None:
 class WorkerHandle:
     """Parent-side handle on one worker process.
 
-    One handle serves one caller at a time — a physical operator
-    instance's dispatcher thread, or the partial thread that holds a
-    restart helper — so it needs no locking.  :meth:`submit` is
-    :meth:`post` then :meth:`collect`; a caller that splits them computes
-    on its own thread while the worker runs the task.
+    One handle serves one caller at a time — the thread that took the
+    worker from the pool — so it needs no locking.
 
     Attributes:
-        name: physical operator name the worker serves.
+        name: the worker's label (``"pool#i"``).
         process: the :class:`multiprocessing.Process`.
         conn: parent end of the task pipe.
         stats: live accounting (shared with the execution metrics).
@@ -240,19 +216,6 @@ class WorkerHandle:
     conn: Any
     stats: WorkerProcessStats = field(default=None)  # type: ignore[assignment]
 
-    def submit(self, item: Any) -> list:
-        """Run ``item`` through the worker's operator; return its outputs.
-
-        Raises:
-            WorkerCrashed: the worker died mid-task or its error could
-                not be transferred.
-            BaseException: whatever the remote operator raised, rebuilt
-                locally (so retry/supervision policies see the original
-                exception type).
-        """
-        self.post(item)
-        return self.collect()
-
     def post(self, item: Any) -> None:
         """Send ``item`` (pickled, points and all) without waiting.
 
@@ -262,10 +225,17 @@ class WorkerHandle:
         self.conn.send(("item", item))
         points = getattr(item, "points", None)
         if points is not None:
-            self.stats.shm_bytes += points.nbytes
+            self.stats.bytes_shipped += points.nbytes
 
     def collect(self) -> list:
-        """Wait for the reply to the last :meth:`post`; see :meth:`submit`."""
+        """Wait for the reply to the last :meth:`post`: its outputs.
+
+        Raises:
+            WorkerCrashed: the worker died mid-task or its error could
+                not be transferred.
+            BaseException: whatever the remote operator raised, rebuilt
+                locally with its original type.
+        """
         try:
             reply = self.conn.recv()
         except (EOFError, OSError) as exc:
@@ -304,7 +274,7 @@ def start_worker(
 
     Args:
         spec: picklable operator spec (``build()`` runs in the worker).
-        name: physical operator name, used for labels and diagnostics.
+        name: the worker's label, used in diagnostics.
         mp_context: multiprocessing start method; default
             :func:`default_mp_context`.
 
@@ -344,31 +314,3 @@ def start_worker(
         name=name, pid=reply[1], spawn_seconds=time.perf_counter() - started
     )
     return handle
-
-
-class ProcessBackedTransform(Transform):
-    """Dispatcher-side proxy running a spec-built clone in a worker.
-
-    Data chunks are shipped to the worker; control items (watermarks) and
-    the end-of-stream flush run on the in-process operator, preserving
-    ordering within this physical instance.  Retry attributes are
-    mirrored from the wrapped operator so the executor's supervision
-    machinery (retry, degrade) applies unchanged — a retry simply
-    re-submits the item to the worker.
-    """
-
-    def __init__(self, inner: Transform, worker: WorkerHandle) -> None:
-        super().__init__(inner.name)
-        self.inner = inner
-        self.worker = worker
-        self.max_retries = inner.max_retries
-        self.retryable_errors = inner.retryable_errors
-        self.retry_policy = inner.retry_policy
-
-    def process(self, item: Any) -> list:
-        if isinstance(item, DataChunk):
-            return self.worker.submit(item)
-        return list(self.inner.process(item))
-
-    def finish(self) -> list:
-        return list(self.inner.finish())

@@ -35,9 +35,11 @@ def _worker_to_dict(worker: WorkerProcessStats) -> dict:
         "name": worker.name,
         "pid": worker.pid,
         "items": worker.items,
+        "partitions": worker.partitions,
+        "restart_batches": worker.restart_batches,
         "busy_seconds": worker.busy_seconds,
         "spawn_seconds": worker.spawn_seconds,
-        "shm_bytes": worker.shm_bytes,
+        "bytes_shipped": worker.bytes_shipped,
     }
 
 
@@ -46,8 +48,8 @@ def metrics_to_dict(metrics: ExecutionMetrics) -> dict:
     payload = {
         "wall_seconds": metrics.wall_seconds,
         "backend": metrics.backend,
-        "workers": [_worker_to_dict(worker) for worker in metrics.workers],
-        "helpers": [_worker_to_dict(helper) for helper in metrics.helpers],
+        "pool": [_worker_to_dict(worker) for worker in metrics.pool],
+        "pool_skipped": metrics.pool_skipped,
         "shards": [
             {
                 "name": shard.name,

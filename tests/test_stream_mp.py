@@ -39,6 +39,12 @@ def cells():
     }
 
 
+def run_task(worker, item):
+    """One task through ``worker``: post it, then collect its reply."""
+    worker.post(item)
+    return worker.collect()
+
+
 class _ExplodingSpec:
     """Module-level (picklable) spec whose operator always raises."""
 
@@ -143,7 +149,7 @@ class TestPipeTransfer:
         )
         worker = start_worker(_EchoSpec(), name="echo#0")
         try:
-            (rebuilt,) = worker.submit(chunk)
+            (rebuilt,) = run_task(worker, chunk)
         finally:
             worker.shutdown()
         assert rebuilt.cell_id == chunk.cell_id
@@ -153,7 +159,7 @@ class TestPipeTransfer:
         assert rebuilt.points.shape == chunk.points.shape
         assert rebuilt.points.tobytes() == chunk.points.tobytes()
         # The point bytes shipped over the pipe are accounted.
-        assert worker.stats.shm_bytes == chunk.points.nbytes
+        assert worker.stats.bytes_shipped == chunk.points.nbytes
 
 
 class TestWorkerLifecycle:
@@ -167,14 +173,14 @@ class TestWorkerLifecycle:
             chunk = DataChunk(
                 cell_id="east", partition=0, points=cells["east"], n_partitions=1
             )
-            (remote,) = worker.submit(chunk)
+            (remote,) = run_task(worker, chunk)
             (local,) = list(operator.process(chunk))
             assert (
                 remote.summary.centroids.tobytes()
                 == local.summary.centroids.tobytes()
             )
             assert worker.stats.items == 1
-            assert worker.stats.shm_bytes == cells["east"].nbytes
+            assert worker.stats.bytes_shipped == cells["east"].nbytes
             assert worker.stats.busy_seconds > 0
         finally:
             worker.shutdown()
@@ -184,10 +190,10 @@ class TestWorkerLifecycle:
         try:
             chunk = DataChunk(cell_id="c", partition=0, points=cells["west"])
             with pytest.raises(RuntimeError, match="boom from the worker"):
-                worker.submit(chunk)
+                run_task(worker, chunk)
             # The worker survives an operator error and keeps serving.
             with pytest.raises(RuntimeError, match="boom from the worker"):
-                worker.submit(chunk)
+                run_task(worker, chunk)
         finally:
             worker.shutdown()
 
@@ -204,7 +210,7 @@ class TestWorkerLifecycle:
         )
         try:
             chunk = DataChunk(cell_id="w", partition=0, points=cells["west"])
-            (remote,) = worker.submit(chunk)
+            (remote,) = run_task(worker, chunk)
             (local,) = list(operator.process(chunk))
             assert (
                 remote.summary.centroids.tobytes()
@@ -228,10 +234,13 @@ class TestProcessBackendExecution:
         assert set(models) == set(cells)
         metrics = outcome.metrics
         assert metrics.backend == "processes"
-        assert len(metrics.workers) == 2
-        assert metrics.shm_bytes > 0
+        assert len(metrics.pool) == 2
+        assert metrics.pool_skipped is None
+        assert metrics.bytes_shipped > 0
         assert metrics.worker_busy_seconds > 0
-        assert all(w.pid != os.getpid() for w in metrics.workers)
+        assert all(w.pid != os.getpid() for w in metrics.pool)
+        # 2 cells x 2 partitions, each small enough to go whole.
+        assert sum(w.partitions for w in metrics.pool) == 4
         assert any("backend: processes" in line for line in metrics.summary_lines())
 
     def test_no_child_process_outlives_execute(self, cells):
@@ -245,17 +254,21 @@ class TestProcessBackendExecution:
             .execute()
         )
         assert set(result.models) == set(cells)
-        assert len(result.execution.metrics.workers) == 2
+        assert len(result.execution.metrics.pool) == 2
         # Neither a worker nor a multiprocessing helper process (such as
         # the resource tracker shared memory used to start) is left.
         assert set(child_pids()) - before == set()
 
-    def test_thread_backend_reports_no_workers(self, cells):
+    def test_thread_backend_reports_no_workers(self, cells, monkeypatch):
+        # On one usable CPU the thread backend forks no pool, and says why.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         __, outcome = run_partial_merge_stream(
             cells, k=3, restarts=1, n_chunks=2, seed=5, backend="threads"
         )
         assert outcome.metrics.backend == "threads"
-        assert outcome.metrics.workers == []
+        assert outcome.metrics.pool == []
+        assert outcome.metrics.pool_skipped == "one usable CPU"
+        assert "  pool: none (one usable CPU)" in outcome.metrics.summary_lines()
 
     def test_workers_argument_validated(self, cells):
         with pytest.raises(ValueError, match="workers must be >= 1"):
@@ -291,12 +304,23 @@ class TestProcessBackendExecution:
         plan = Planner().plan(graph, backend="processes")
         outcome = Executor().run(plan)
         assert outcome.value == [0, 2, 4, 6, 8]
-        # FunctionTransform has no spec: nothing was offloaded.
+        # FunctionTransform has no spec: no pool was started.
         assert outcome.metrics.backend == "processes"
-        assert outcome.metrics.workers == []
+        assert outcome.metrics.pool == []
+        assert outcome.metrics.pool_skipped == "no partial operator"
 
-    def test_restart_policy_keeps_operator_in_process(self, cells):
-        __, outcome = run_partial_merge_stream(
+    def test_restart_policy_keeps_operator_in_process(self, cells, monkeypatch):
+        """A restart-supervised partial keeps its instance (and snapshot)
+        in this process and sends one partition at a time to the pool;
+        an injected crash is recovered with the same bits."""
+        from repro.stream.faults import FaultPlan, FaultSpec
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            alone, __ = run_partial_merge_stream(
+                cells, k=3, restarts=1, n_chunks=2, seed=5, backend="threads"
+            )
+        models, outcome = run_partial_merge_stream(
             cells,
             k=3,
             restarts=1,
@@ -305,9 +329,12 @@ class TestProcessBackendExecution:
             backend="processes",
             workers=2,
             supervision={"partial": SupervisionPolicy.restart(1)},
+            fault_plan=FaultPlan([FaultSpec("partial", "crash", at_index=1)]),
         )
-        # Restart recovery needs the in-process instance, so no workers.
-        assert outcome.metrics.workers == []
+        assert outcome.metrics.total_restarts == 1
+        assert len(outcome.metrics.pool) == 2
+        for key, model in models.items():
+            assert model.centroids.tobytes() == alone[key].centroids.tobytes()
 
     def test_plan_backend_recorded_in_describe(self, cells):
         from repro.stream.kmeans_ops import build_partial_merge_graph
